@@ -1,0 +1,10 @@
+"""Run with ``python -m pytest bench/tests -q`` from the repo root."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+for path in (ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
