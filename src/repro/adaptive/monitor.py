@@ -215,7 +215,7 @@ class AdaptiveManager:
         compile_fresh_for: Callable[[str], Optional[Callable]],
         tuning_cache_path: Optional[str] = None,
         tuning_seed: int = 0,
-        executor: str = "compiled",
+        executor: str = "codegen",
     ) -> None:
         self.cache = cache
         self.machine = machine

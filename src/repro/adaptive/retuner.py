@@ -105,7 +105,7 @@ class Retuner:
         config: AdaptiveConfig,
         tuning_cache_path: Optional[str] = None,
         tuning_seed: int = 0,
-        executor: str = "compiled",
+        executor: str = "codegen",
     ) -> None:
         self.machine = machine
         self.config = config

@@ -2,10 +2,11 @@
 
 Both proxies quack like a :class:`~repro.runtime.partition.CompiledPartition`
 for everything the serving layer touches — ``execute``, ``close``,
-``lowered``, ``arena_size``, ``cached_bytes``, ``has_active_pool`` — so
-they can be installed into a :class:`~repro.service.cache.PartitionCache`
-slot with :meth:`~repro.service.cache.PartitionCache.swap` and served
-without the session noticing.
+``lowered``, ``arena_size``, ``cached_bytes``, ``has_active_pool``,
+``is_warm`` — so they can be installed into a
+:class:`~repro.service.cache.PartitionCache` slot with
+:meth:`~repro.service.cache.PartitionCache.swap` and served without the
+session noticing.
 
 :class:`ABTrialPartition` is the A/B guard's instrument: it routes every
 ``stride``-th request to the challenger, times both arms, and falls back
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +57,10 @@ class _PartitionProxy:
         return self._primary.has_active_pool
 
     @property
+    def is_warm(self) -> bool:
+        return self._primary.is_warm
+
+    @property
     def input_names(self):
         return self._primary.input_names
 
@@ -72,7 +77,9 @@ class ABTrialPartition(_PartitionProxy):
     """Serves an A/B trial between an incumbent and a challenger.
 
     Every ``stride``-th execution goes to the challenger; all others to
-    the incumbent.  Each arm's wall time accumulates for the verdict.
+    the incumbent.  Each arm's wall time accumulates for the verdict,
+    except an execute that starts with the arm cold: it pays the arm's
+    one-time build and weight init, which the trial does not compare.
     A challenger exception is swallowed — counted, and the request is
     transparently re-served by the incumbent — because a trial must
     never cost a caller a failed request.
@@ -133,6 +140,22 @@ class ABTrialPartition(_PartitionProxy):
                 tracer.flow("request", "t", ctx.flow_id)
             return partition.execute(inputs)
 
+    def _timed_arm(
+        self,
+        arm: str,
+        partition: CompiledPartition,
+        inputs: Mapping[str, np.ndarray],
+    ) -> Tuple[Dict[str, np.ndarray], Optional[float]]:
+        """Execute one arm; its wall seconds, or None if it started cold."""
+        warm = partition.is_warm
+        start = time.perf_counter()
+        outputs = self._run_arm(arm, partition, inputs)
+        return outputs, (time.perf_counter() - start) if warm else None
+
+    @property
+    def is_warm(self) -> bool:
+        return self.incumbent.is_warm and self.challenger.is_warm
+
     def execute(
         self, inputs: Mapping[str, np.ndarray]
     ) -> Dict[str, np.ndarray]:
@@ -140,26 +163,26 @@ class ABTrialPartition(_PartitionProxy):
             self._calls += 1
             to_challenger = self._calls % self.stride == 0
         if to_challenger:
-            start = time.perf_counter()
             try:
-                outputs = self._run_arm(
+                outputs, elapsed = self._timed_arm(
                     "challenger", self.challenger, inputs
                 )
             except Exception:
                 with self._lock:
                     self._challenger_errors += 1
                 return self._run_arm("incumbent", self.incumbent, inputs)
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self._challenger_seconds += elapsed
-                self._challenger_samples += 1
+            if elapsed is not None:
+                with self._lock:
+                    self._challenger_seconds += elapsed
+                    self._challenger_samples += 1
             return outputs
-        start = time.perf_counter()
-        outputs = self._run_arm("incumbent", self.incumbent, inputs)
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self._incumbent_seconds += elapsed
-            self._incumbent_samples += 1
+        outputs, elapsed = self._timed_arm(
+            "incumbent", self.incumbent, inputs
+        )
+        if elapsed is not None:
+            with self._lock:
+                self._incumbent_seconds += elapsed
+                self._incumbent_samples += 1
         return outputs
 
     # -- verdict plumbing -----------------------------------------------------

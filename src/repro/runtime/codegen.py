@@ -1,11 +1,14 @@
 """Whole-partition Python codegen executor: one flat code object per function.
 
-The closure executor (:mod:`repro.runtime.executor`) removed interpretation
-overhead by pre-binding one closure per statement, but steady state still
-pays a Python call per statement, a dict lookup per tensor/scalar access,
-and a closure call per slice.  This module is the next lowering tier: each
-:class:`~repro.tensor_ir.function.TirFunction` is **compiled to Python
-source** and ``exec``-ed into a single flat function —
+The interpreter (:mod:`repro.runtime.interpreter`) re-walks the statement
+tree on every call: per-statement ``isinstance`` dispatch, per-slice
+``evaluate()`` of offset expressions, a dict lookup per tensor/scalar
+access.  That is the right shape for a *reference* backend, but the
+paper's premise is that compilation cost is paid once and steady-state
+execution is as fast as the hardware allows.  This module is the
+optimising backend: each :class:`~repro.tensor_ir.function.TirFunction`
+is **compiled to Python source** and ``exec``-ed into a single flat
+function —
 
 * loops become literal ``for var in range(...)`` with constant-folded
   bounds (dynamic bounds become inline expressions over local variables);
@@ -19,8 +22,8 @@ source** and ``exec``-ed into a single flat function —
 * ufuncs, op references, brgemm helpers and pack geometry are resolved at
   build time into the generated function's globals;
 * ``Call`` statements bind to the sibling generated function;
-* ``Alloc`` sites lower to pre-planned pooled-buffer fetches (sharing
-  :class:`~repro.runtime.executor._AllocSite` free-lists) or arena views;
+* ``Alloc`` sites lower to pre-planned pooled-buffer fetches (per-site
+  :class:`_AllocSite` free-lists) or arena views;
 * parallel loops emit a chunk function per loop site, submitted to the
   partition's persistent pool with per-worker thread-local buffer slots.
 
@@ -30,9 +33,9 @@ generated code show the real emitted lines.  Set ``REPRO_DUMP_CODEGEN`` to
 a directory (or use ``tools/dump.py --emit-codegen``) to write the sources
 to disk.
 
-Execution semantics are bit-identical to the interpreter and the closure
-executor — the differential tests in ``tests/runtime/`` assert outputs,
-error messages and :class:`ExecutionStats` all match.
+Execution semantics are bit-identical to the interpreter — the
+differential tests in ``tests/runtime/`` assert outputs, error messages
+and :class:`ExecutionStats` all match.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 from ..errors import ExecutionError, TensorIRError
 from ..graph_ir.op_registry import OP_REGISTRY
 from ..observability import get_tracer
-from ..tensor_ir.expr import Binary, Const, Expr, Var, fold
+from ..tensor_ir.expr import Binary, BinaryOp, Const, Expr, Var, fold
 from ..tensor_ir.function import TirFunction
 from ..tensor_ir.module import TirModule
 from ..tensor_ir.stmt import (
@@ -70,14 +73,6 @@ from ..tensor_ir.stmt import (
     Unpack,
 )
 from .dynamic import bind_shapes, run_pack, run_unpack
-from .executor import (
-    _BIN_FMT,
-    _POOL_DEPTH,
-    _AllocSite,
-    _SpecializationError,
-    _slice_oob,
-    _static_squeeze,
-)
 from .interpreter import ExecutionStats, brgemm_cost_attrs
 
 try:  # numpy >= 2.0
@@ -105,6 +100,113 @@ _COUNTERS = {
 }
 
 
+#: Buffers at most this large are recycled through per-Alloc free-lists;
+#: larger ones go back to the allocator (``np.zeros`` is calloc-backed and
+#: effectively free for big blocks, while small-buffer churn is not).
+_POOL_MAX_BYTES = 1 << 20
+#: Free-list depth cap per Alloc site / parallel-loop slot pool.
+_POOL_DEPTH = 32
+
+_BIN_FMT = {
+    BinaryOp.ADD: "({} + {})",
+    BinaryOp.SUB: "({} - {})",
+    BinaryOp.MUL: "({} * {})",
+    BinaryOp.FLOORDIV: "({} // {})",
+    BinaryOp.MOD: "({} % {})",
+    BinaryOp.MIN: "min({}, {})",
+    BinaryOp.MAX: "max({}, {})",
+}
+
+
+class _SpecializationError(Exception):
+    """A statement whose static validation failed; raised at *call* time.
+
+    Build never fails for IR the interpreter would reject at execution:
+    the offending statement compiles to code that raises the same error
+    when (and only when) it is actually executed.
+    """
+
+    def __init__(self, exc_type, message):
+        super().__init__(message)
+        self.exc_type = exc_type
+
+
+def _static_squeeze(
+    sizes: Tuple[int, ...], ndim: int, what: str
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Axes to drop (and resulting shape) squeezing ``sizes`` to ``ndim``.
+
+    Mirrors ``Interpreter._squeeze_to`` on the statically-known slice
+    shape: leftmost length-1 dims first.
+    """
+    shape = list(sizes)
+    index = list(range(len(sizes)))
+    axes: List[int] = []
+    while len(shape) > ndim:
+        for pos, extent in enumerate(shape):
+            if extent == 1:
+                axes.append(index[pos])
+                del shape[pos]
+                del index[pos]
+                break
+        else:
+            raise _SpecializationError(
+                ExecutionError,
+                f"{what} has shape {tuple(sizes)}; cannot squeeze to "
+                f"{ndim} dims",
+            )
+    if len(shape) != ndim:
+        raise _SpecializationError(
+            ExecutionError,
+            f"{what} has shape {tuple(sizes)}; expected {ndim} dims",
+        )
+    return tuple(axes), tuple(shape)
+
+
+def _slice_oob(ref_repr: str, off: int, size: int, extent: int) -> None:
+    raise ExecutionError(
+        f"slice {ref_repr} out of bounds: [{off}, {off + size}) "
+        f"not within [0, {extent})"
+    )
+
+
+class _AllocSite:
+    """Build-time record of one Alloc statement, with its buffer pool."""
+
+    __slots__ = (
+        "name",
+        "shape",
+        "np_dtype",
+        "nbytes",
+        "arena_offset",
+        "free_list",
+        "poolable",
+    )
+
+    def __init__(self, stmt: Alloc) -> None:
+        self.name = stmt.tensor
+        self.shape = stmt.shape
+        self.np_dtype = stmt.dtype.to_numpy()
+        count = 1
+        for s in stmt.shape:
+            count *= s
+        self.nbytes = count * self.np_dtype.itemsize
+        self.arena_offset = stmt.arena_offset
+        self.free_list: List[np.ndarray] = []
+        self.poolable = (
+            stmt.arena_offset is None and self.nbytes <= _POOL_MAX_BYTES
+        )
+
+    def take(self) -> np.ndarray:
+        """A zeroed buffer: recycled from the free-list or freshly made."""
+        try:
+            buf = self.free_list.pop()  # list ops are GIL-atomic
+        except IndexError:
+            return np.zeros(self.shape, dtype=self.np_dtype)
+        buf.fill(0)
+        return buf
+
+
 def _sanitize(name: str) -> str:
     """A deterministic identifier fragment for an IR name."""
     out = re.sub(r"[^0-9A-Za-z_]", "_", name)
@@ -116,8 +218,8 @@ def _sanitize(name: str) -> str:
 class _RunCtx:
     """Per-call execution state passed to generated functions.
 
-    Unlike the closure executor's ``_Ctx`` there are no tensor/scalar
-    dicts — buffers and scalars are locals of the generated code.
+    There are no tensor/scalar dicts — buffers and scalars are locals of
+    the generated code.
     """
 
     __slots__ = (
@@ -643,9 +745,9 @@ class _FunctionEmitter:
         dst_ndim = len(stmt.dst.sizes)
         dst_static = stmt.dst.is_static
         attrs = {k: v for k, v in stmt.attrs.items() if k != "accumulate"}
-        # Static validation in the same order as the closure executor
-        # (dst slice, accumulate mode, then each source), so the same
-        # broken IR produces the same first error message.
+        # Static validation in a fixed order (dst slice, accumulate
+        # mode, then each source), so the same broken IR always produces
+        # the same first error message.
         self.validate_slice(stmt.dst)
         acc_op = stmt.attrs.get("accumulate")
         if acc_op and acc_op not in (True, "add", "max"):
@@ -722,8 +824,8 @@ class _FunctionEmitter:
             )
         else:
             # Assignment broadcasts and casts in one pass — same values
-            # as the closure executor's broadcast_to(...).astype(...)
-            # without materializing the intermediate copy.
+            # as broadcast_to(...).astype(...) without materializing the
+            # intermediate copy.
             self.emit("_d[...] = _r")
 
     def _emit_traced_body(self, body: List[str], span: str) -> None:
@@ -1241,9 +1343,9 @@ class CodegenExecutor:
     """A whole-program codegen executor for one Tensor IR module.
 
     Built once per :class:`~repro.runtime.partition.CompiledPartition`
-    when ``CompilerOptions.executor="codegen"``; ``run`` is thread-safe
-    (each call gets a private context; buffer, slot and arena free-lists
-    are GIL-atomic).
+    under ``CompilerOptions.executor="codegen"`` (the default); ``run``
+    is thread-safe (each call gets a private context; buffer, slot and
+    arena free-lists are GIL-atomic).
     """
 
     def __init__(

@@ -33,12 +33,11 @@ from ..observability.context import active_contexts
 from ..tensor_ir.module import TirModule
 from .codegen import CodegenExecutor
 from .dynamic import concrete_shape
-from .executor import CompiledExecutor
 from .interpreter import ExecutionStats, Interpreter
 
 #: Valid values for ``CompilerOptions.executor`` / the ``executor=``
 #: constructor override.
-EXECUTOR_BACKENDS = ("interpret", "compiled", "codegen")
+EXECUTOR_BACKENDS = ("interpret", "codegen")
 
 
 class _Role(enum.Enum):
@@ -109,20 +108,18 @@ class CompiledPartition:
         self.num_threads = num_threads
         if executor is None:
             options = getattr(lowered.ctx, "options", None)
-            executor = getattr(options, "executor", None) or "compiled"
+            executor = getattr(options, "executor", None) or "codegen"
         if executor not in EXECUTOR_BACKENDS:
             raise ValueError(
                 f"unknown executor backend {executor!r}; "
                 f"expected one of {EXECUTOR_BACKENDS}"
             )
         #: Runtime backend: ``"codegen"`` exec-generates one flat Python
-        #: function per TIR function; ``"compiled"`` specializes the
-        #: module into a closure program once; ``"interpret"`` re-walks
-        #: the IR per call (the reference backend).
+        #: function per TIR function once; ``"interpret"`` re-walks the
+        #: IR per call (the reference backend).
         self.executor = executor
         self._executor_lock = threading.Lock()
         self._close_lock = threading.Lock()
-        self._compiled: Optional[CompiledExecutor] = None
         self._codegen: Optional[CodegenExecutor] = None
         #: Persistent worker pool shared across calls and parallel loops;
         #: (re)built lazily whenever ``num_threads`` changes.
@@ -174,6 +171,14 @@ class CompiledPartition:
     @property
     def is_initialized(self) -> bool:
         return self._cache is not None or self.lowered.init_module is None
+
+    @property
+    def is_warm(self) -> bool:
+        """Whether the one-time work is done: constant-weight init and,
+        under codegen, the backend build.  An execute that starts cold
+        pays that work, so latency tracking leaves it out."""
+        built = self.executor != "codegen" or self._codegen is not None
+        return self._cache is not None and built
 
     @property
     def arena_size(self) -> int:
@@ -278,10 +283,6 @@ class CompiledPartition:
         lowered = self.lowered
         num_threads = max(1, int(self.num_threads))
         pool = self._shared_pool(num_threads)
-        if self.executor == "compiled":
-            return self._compiled_executor().run(
-                buffers, pool=pool, num_threads=num_threads
-            )
         if self.executor == "codegen":
             return self._codegen_executor().run(
                 buffers, pool=pool, num_threads=num_threads
@@ -295,21 +296,6 @@ class CompiledPartition:
         )
         interp.run(buffers)
         return interp.stats
-
-    def _compiled_executor(self) -> CompiledExecutor:
-        """The specialized executor, built once per partition."""
-        executor = self._compiled
-        if executor is None:
-            with self._executor_lock:
-                if self._compiled is None:
-                    lowered = self.lowered
-                    self._compiled = CompiledExecutor(
-                        lowered.module,
-                        machine=lowered.ctx.machine,
-                        arena_size=self.arena_size or None,
-                    )
-                executor = self._compiled
-        return executor
 
     def _codegen_executor(self) -> CodegenExecutor:
         """The whole-program codegen executor, built once per partition."""

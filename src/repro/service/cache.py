@@ -245,7 +245,9 @@ class PartitionCache:
         (weight :attr:`ewma_alpha` on the newest sample) that the adaptive
         drift monitor compares against the cost model's expectation.
         Signatures serve one fixed shape bucket, so latencies are
-        comparable across a signature's lifetime.
+        comparable across a signature's lifetime.  Callers pass ``None``
+        for an execute that paid a partition's one-time build and weight
+        init: it still counts as an execute, but not as a latency sample.
         """
         with self._lock:
             record = self._records.setdefault(signature, _SigRecord())

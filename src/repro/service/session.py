@@ -184,11 +184,6 @@ class InferenceSession:
             get an exact-size specialization.  ``None`` compiles exactly
             per distinct batch size.
         num_threads: Intra-partition parallelism for compiled partitions.
-        executor: Runtime backend override (``"interpret"``,
-            ``"compiled"`` or ``"codegen"``); ``None`` keeps
-            ``options.executor``.  The
-            choice participates in partition-cache signatures, so sessions
-            with different backends never share compiled artifacts.
         batching: ``"off"`` serves every ``run()`` synchronously on the
             caller's thread (the original path); ``"on"`` routes requests
             through a :class:`.BatchingEngine` that coalesces concurrent
@@ -235,7 +230,6 @@ class InferenceSession:
         cache: Optional[PartitionCache] = None,
         batch_buckets: Optional[Sequence[int]] = None,
         num_threads: int = 1,
-        executor: Optional[str] = None,
         batching: str = "off",
         max_batch: int = 32,
         batch_timeout_us: int = 2000,
@@ -248,10 +242,6 @@ class InferenceSession:
         self._weights: Dict[str, np.ndarray] = dict(weights or {})
         self._machine = machine
         self._options = options or CompilerOptions()
-        if executor is not None:
-            self._options = dataclasses.replace(
-                self._options, executor=executor
-            )
         self._owns_cache = cache is None
         self._cache = cache if cache is not None else PartitionCache()
         self._num_threads = num_threads
@@ -546,6 +536,10 @@ class InferenceSession:
                     if axes
                     else array
                 )
+        # An execute that starts cold pays the partition's one-time
+        # build and weight init; it is kept out of the latency evidence
+        # the drift monitor compares against.
+        warm = partition.is_warm
         tracer = get_tracer()
         start = time.perf_counter()
         if tracer.enabled:
@@ -579,7 +573,7 @@ class InferenceSession:
             signature,
             rows_requested=batch,
             rows_computed=bucket,
-            latency_seconds=latency,
+            latency_seconds=latency if warm else None,
         )
         if bucket == batch:
             return outputs

@@ -761,8 +761,6 @@ class ShardedSession:
         num_workers: Worker process count.
         machine: Compilation target (shared by every worker).
         options: Compiler feature toggles (shared by every worker).
-        executor: Runtime backend override, as on
-            :class:`.InferenceSession`.
         num_threads: Intra-partition parallelism *inside each worker*.
         batching: Per-worker micro-batching mode (default ``"on"`` —
             coalescing is the point of funneling a signature into one
@@ -816,7 +814,6 @@ class ShardedSession:
         num_workers: int = 2,
         machine: MachineModel = XEON_8358,
         options: Optional[CompilerOptions] = None,
-        executor: Optional[str] = None,
         num_threads: int = 1,
         batching: str = "on",
         max_batch: int = 32,
@@ -853,10 +850,6 @@ class ShardedSession:
             raise ValueError("at least one model is required")
         self._machine = machine
         self._options = options or CompilerOptions()
-        if executor is not None:
-            self._options = dataclasses.replace(
-                self._options, executor=executor
-            )
         self._num_threads = num_threads
         from .session import ADAPTIVE_MODES
 

@@ -10,17 +10,10 @@ Usage::
     python -m repro.tools.bench fig7 --tune model --tuning-cache tune.json
     python -m repro.tools.bench fig8-mlp --trace trace.json  # Chrome trace
     python -m repro.tools.bench fig8-mlp --metrics      # top passes / ops
-    python -m repro.tools.bench runtime --repeat 5      # BENCH_runtime.json
-    python -m repro.tools.bench runtime --executor compiled --quick
     python -m repro.tools.bench serve --clients 8       # BENCH_serving.json
     python -m repro.tools.bench serve --quick
     python -m repro.tools.bench serve --workers 4       # sharded fleet curve
     python -m repro.tools.bench serve --adaptive        # drift -> hot swap
-
-``runtime`` measures *real* steady-state execution latency (not modeled
-cycles) of the fig7/fig8 workloads on the interpreter and the compiled
-executor, asserts both backends produce bit-identical outputs, and
-writes the ``BENCH_runtime.json`` artifact.
 
 ``serve`` is a closed-loop serving load generator: N client threads fire
 mixed-batch requests (Poisson-ish think times from a seeded RNG) at an
@@ -260,295 +253,6 @@ def run_fig8_mha(dtype: DType, batches) -> None:
         )
     )
     print(f"\ngeomean speedup: {geomean(speedups):.2f}")
-
-
-#: Schema tag of the runtime-bench artifact; bump on breaking changes.
-#: v2 adds the codegen executor (three-way comparison: per-workload
-#: ``speedup`` becomes a dict of ratios) and real machine provenance
-#: (``machine`` becomes an object with ``host_cpus`` etc.).
-BENCH_RUNTIME_SCHEMA = "repro.bench_runtime/v2"
-
-#: Older runtime schema (two-way, string machine tag); committed v1
-#: artifacts still validate.
-BENCH_RUNTIME_SCHEMA_V1 = "repro.bench_runtime/v1"
-
-#: Ratio keys of the v2 ``speedup`` dict, in report order.
-_RUNTIME_RATIOS = (
-    ("compiled", "interpret", "compiled"),
-    ("codegen", "interpret", "codegen"),
-    ("codegen_vs_compiled", "compiled", "codegen"),
-)
-
-
-def _runtime_machine() -> dict:
-    """Real provenance of the measuring host (not a hardcoded tag)."""
-    import os as _os
-    import platform as _platform
-
-    return {
-        "host_cpus": _os.cpu_count(),
-        "platform": _platform.platform(),
-        "processor": _platform.processor() or _platform.machine(),
-        "python": _platform.python_version(),
-    }
-
-
-def _runtime_workloads(dtype: DType, quick: bool):
-    """(group, label, builder) triples for the runtime benchmark."""
-    from ..workloads import MLP_CONFIGS
-
-    items = []
-    shapes = list(individual_matmul_shapes())
-    mlp_batches = list(MLP_BATCH_SIZES)
-    # Backend comparison, not a batch sweep: one MHA batch size keeps the
-    # run in minutes (the interpreter needs seconds per large-MHA call).
-    mha_batches = [MHA_BATCH_SIZES[0]]
-    mha_names = sorted(MHA_CONFIGS)
-    if quick:
-        shapes = shapes[:1]
-        mlp_batches = [32]
-        mha_names = mha_names[:1]
-    for shape in shapes:
-        items.append(
-            (
-                "fig7",
-                f"{shape.name} {dtype.value}",
-                lambda s=shape: _single_matmul(s.m, s.k, s.n, dtype),
-            )
-        )
-    for name in sorted(MLP_CONFIGS):
-        for batch in mlp_batches:
-            items.append(
-                (
-                    "fig8-mlp",
-                    f"{name} b{batch} {dtype.value}",
-                    lambda n=name, b=batch: build_mlp_graph(n, b, dtype),
-                )
-            )
-    for name in mha_names:
-        for batch in mha_batches:
-            items.append(
-                (
-                    "fig8-mha",
-                    f"{name} b{batch} {dtype.value}",
-                    lambda n=name, b=batch: build_mha_graph(n, b, dtype),
-                )
-            )
-    return items
-
-
-def _measure_backend(builder, backend: str, repeat: int, threads: int):
-    """(best steady-state ms, outputs in signature order, stats dict)."""
-    import time
-
-    options = dataclasses.replace(_effective_options(None), executor=backend)
-    partition = compile_graph(
-        builder(), options=options, num_threads=threads
-    )
-    feed = _synthetic_inputs(partition)
-    partition.execute(dict(feed))  # init + one-time specialization
-    partition.execute(dict(feed))  # warmup
-    best = float("inf")
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        outputs = partition.execute(dict(feed))
-        best = min(best, time.perf_counter() - start)
-    stats = partition.last_stats.to_dict() if partition.last_stats else {}
-    partition.close()
-    return best * 1e3, list(outputs.values()), stats
-
-
-def run_runtime(
-    executor: str, repeat: int, threads: int, dtype: DType, quick: bool
-) -> dict:
-    """Steady-state latency of the executor backends over fig7/fig8.
-
-    Returns the ``BENCH_runtime.json`` document (schema
-    ``repro.bench_runtime/v2``): per-workload latency for each measured
-    backend, a ``speedup`` dict of pairwise ratios, and a bit-identity
-    flag across every backend pair.
-    """
-    import numpy as np
-
-    if executor == "all":
-        backends = ["interpret", "compiled", "codegen"]
-    elif executor == "both":
-        backends = ["interpret", "compiled"]
-    else:
-        backends = [executor]
-    workloads = []
-    ratios_by_group: dict = {}
-    for group, label, builder in _runtime_workloads(dtype, quick):
-        entry = {"group": group, "name": label}
-        outputs = {}
-        for backend in backends:
-            ms, outs, stats = _measure_backend(
-                builder, backend, repeat, threads
-            )
-            entry[f"{backend}_ms"] = round(ms, 4)
-            entry["brgemm_calls"] = stats.get("brgemm_calls", 0)
-            outputs[backend] = outs
-        if len(backends) > 1:
-            speedup = {}
-            for ratio, base, target in _RUNTIME_RATIOS:
-                if base in outputs and target in outputs:
-                    speedup[ratio] = round(
-                        entry[f"{base}_ms"] / entry[f"{target}_ms"], 4
-                    )
-            entry["speedup"] = speedup
-            reference = outputs[backends[0]]
-            entry["identical"] = all(
-                len(outs) == len(reference)
-                and all(
-                    np.array_equal(a, b)
-                    for a, b in zip(reference, outs)
-                )
-                for outs in outputs.values()
-            )
-            group_ratios = ratios_by_group.setdefault(group, {})
-            for ratio, value in speedup.items():
-                group_ratios.setdefault(ratio, []).append(value)
-        workloads.append(entry)
-    document = {
-        "schema": BENCH_RUNTIME_SCHEMA,
-        "machine": _runtime_machine(),
-        "dtype": dtype.value,
-        "num_threads": threads,
-        "repeat": repeat,
-        "executors": backends,
-        "workloads": workloads,
-    }
-    if ratios_by_group:
-        all_ratios: dict = {}
-        geo = {}
-        for group, by_ratio in sorted(ratios_by_group.items()):
-            geo[group] = {
-                ratio: round(geomean(values), 4)
-                for ratio, values in by_ratio.items()
-            }
-            for ratio, values in by_ratio.items():
-                all_ratios.setdefault(ratio, []).extend(values)
-        geo["all"] = {
-            ratio: round(geomean(values), 4)
-            for ratio, values in all_ratios.items()
-        }
-        document["geomean_speedup"] = geo
-    return document
-
-
-def validate_bench_runtime(document: dict) -> List[str]:
-    """Schema check for BENCH_runtime.json; returns a list of problems.
-
-    Accepts the current v2 schema and legacy v1 artifacts.  v2 requires
-    real machine provenance (``machine.host_cpus`` and ``.platform``)
-    and a per-workload ``speedup`` dict; v1 used a string machine tag
-    and a scalar two-way speedup.
-    """
-    errors: List[str] = []
-    if not isinstance(document, dict):
-        return ["document is not an object"]
-    schema = document.get("schema")
-    if schema not in (BENCH_RUNTIME_SCHEMA, BENCH_RUNTIME_SCHEMA_V1):
-        errors.append(
-            f"schema is {schema!r}, expected {BENCH_RUNTIME_SCHEMA!r} "
-            f"(or legacy {BENCH_RUNTIME_SCHEMA_V1!r})"
-        )
-    v2 = schema == BENCH_RUNTIME_SCHEMA
-    for key in ("machine", "dtype", "num_threads", "repeat", "executors"):
-        if key not in document:
-            errors.append(f"missing key {key!r}")
-    if v2 and "machine" in document:
-        machine = document["machine"]
-        if not isinstance(machine, dict):
-            errors.append("machine must be an object with provenance")
-        else:
-            cpus = machine.get("host_cpus")
-            if not isinstance(cpus, int) or cpus <= 0:
-                errors.append("machine.host_cpus must be a positive int")
-            if not isinstance(machine.get("platform"), str):
-                errors.append("machine.platform missing or not a string")
-    executors = document.get("executors", [])
-    if not isinstance(executors, list) or not executors:
-        errors.append("executors must be a non-empty list")
-    workloads = document.get("workloads")
-    if not isinstance(workloads, list) or not workloads:
-        errors.append("workloads must be a non-empty list")
-        return errors
-    multi = isinstance(executors, list) and len(executors) > 1
-    for index, entry in enumerate(workloads):
-        where = f"workloads[{index}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where} is not an object")
-            continue
-        for key in ("group", "name"):
-            if not isinstance(entry.get(key), str):
-                errors.append(f"{where}.{key} missing or not a string")
-        for backend in executors:
-            ms = entry.get(f"{backend}_ms")
-            if not isinstance(ms, (int, float)) or ms <= 0:
-                errors.append(f"{where}.{backend}_ms must be positive")
-        if multi:
-            speedup = entry.get("speedup")
-            if v2:
-                if not isinstance(speedup, dict) or not speedup:
-                    errors.append(f"{where}.speedup dict missing")
-                elif not all(
-                    isinstance(v, (int, float)) and v > 0
-                    for v in speedup.values()
-                ):
-                    errors.append(
-                        f"{where}.speedup ratios must be positive"
-                    )
-            elif not isinstance(speedup, (int, float)):
-                errors.append(f"{where}.speedup missing")
-            if entry.get("identical") is not True:
-                errors.append(
-                    f"{where}: backends disagree (identical != true)"
-                )
-    if multi and not isinstance(document.get("geomean_speedup"), dict):
-        errors.append("geomean_speedup missing")
-    return errors
-
-
-def _print_runtime_report(document: dict) -> None:
-    rows = []
-    multi = len(document["executors"]) > 1
-    ratio_keys: List[str] = []
-    if multi:
-        seen = set()
-        for entry in document["workloads"]:
-            seen.update(entry.get("speedup", {}))
-        ratio_keys = [r for r, _, _ in _RUNTIME_RATIOS if r in seen]
-    for entry in document["workloads"]:
-        row = {"test": f"{entry['group']}: {entry['name']}"}
-        for backend in document["executors"]:
-            row[backend] = f"{entry[f'{backend}_ms']:.2f}ms"
-        for ratio in ratio_keys:
-            value = entry.get("speedup", {}).get(ratio)
-            row[f"x {ratio}"] = value if value is not None else "-"
-        if multi:
-            row["identical"] = str(entry["identical"]).lower()
-        rows.append(row)
-    columns = (
-        ["test"]
-        + list(document["executors"])
-        + [f"x {ratio}" for ratio in ratio_keys]
-    )
-    if multi:
-        columns.append("identical")
-    print(
-        format_speedup_table(
-            f"Runtime backends — steady-state latency, "
-            f"{document['dtype']}, {document['num_threads']} thread(s)",
-            rows,
-            columns,
-        )
-    )
-    for group, by_ratio in document.get("geomean_speedup", {}).items():
-        ratios = ", ".join(
-            f"{ratio} {value:.2f}x" for ratio, value in by_ratio.items()
-        )
-        print(f"geomean speedup [{group}]: {ratios}")
 
 
 #: Schema tag of the serving-bench artifact; bump on breaking changes.
@@ -1800,7 +1504,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "figure",
-        choices=["fig7", "fig8-mlp", "fig8-mha", "runtime", "serve"],
+        choices=["fig7", "fig8-mlp", "fig8-mha", "serve"],
     )
     parser.add_argument("--dtype", choices=sorted(_DTYPES), default="f32")
     parser.add_argument(
@@ -1816,39 +1520,23 @@ def main(argv=None) -> int:
         "default 1,2,4,8)",
     )
     parser.add_argument(
-        "--executor",
-        choices=["interpret", "compiled", "codegen", "both", "all"],
-        default="all",
-        help="runtime backend(s) the `runtime` figure measures: one "
-        "backend, `both` (interpret+compiled) or `all` (the default — "
-        "all three, with a bit-identical output check)",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=5,
-        metavar="N",
-        help="steady-state repetitions per workload/backend for `runtime` "
-        "(best-of-N after warmup)",
-    )
-    parser.add_argument(
         "--threads",
         type=int,
         default=1,
         metavar="N",
-        help="num_threads for the `runtime` figure's partitions",
+        help="`serve`: num_threads for each session's partitions",
     )
     parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
-        help="where `runtime`/`serve` write their artifact "
-        "(default: BENCH_runtime.json / BENCH_serving.json)",
+        help="where `serve` writes its artifact "
+        "(default: BENCH_serving.json)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="`runtime`/`serve` smoke mode: one workload, few requests",
+        help="`serve` smoke mode: one workload, few requests",
     )
     parser.add_argument(
         "--clients",
@@ -2002,29 +1690,6 @@ def main(argv=None) -> int:
         add_tuning_hook(tuning_results.append)
     elif args.tuning_cache:
         parser.error("--tuning-cache requires --tune")
-    if args.figure == "runtime":
-        import json
-
-        try:
-            document = run_runtime(
-                args.executor, args.repeat, args.threads, dtype, args.quick
-            )
-        finally:
-            if args.tune:
-                remove_tuning_hook(tuning_results.append)
-            _CACHE, _TUNING, _OBSERVE = None, None, False
-        _print_runtime_report(document)
-        problems = validate_bench_runtime(document)
-        if problems:
-            for problem in problems:
-                print(f"schema violation: {problem}", file=sys.stderr)
-            return 1
-        path = args.json or "BENCH_runtime.json"
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"\nwrote {path}")
-        return 0
     if args.figure == "serve":
         import json
 

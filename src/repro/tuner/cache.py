@@ -68,7 +68,7 @@ def tuning_key(
     machine: MachineModel,
     batch: int = 1,
     constraints: Optional[HeuristicConstraints] = None,
-    executor: str = "compiled",
+    executor: str = "codegen",
 ) -> str:
     """The cache key of one tuning problem.
 

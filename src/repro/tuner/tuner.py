@@ -118,7 +118,7 @@ class MatmulTuner:
         seed: int = 0,
         measure_top_k: int = 3,
         measure_repeats: int = 3,
-        executor: str = "compiled",
+        executor: str = "codegen",
     ) -> None:
         if mode not in TUNING_MODES:
             raise ValueError(

@@ -15,6 +15,8 @@ from repro.adaptive import (
 class FakePartition:
     """Quacks just enough like a CompiledPartition for the proxies."""
 
+    is_warm = True
+
     def __init__(self, value, fail=False, names=("out",)):
         self.value = value
         self.fail = fail
@@ -28,6 +30,21 @@ class FakePartition:
 
     def close(self):
         self.closed += 1
+
+
+class ColdStartPartition(FakePartition):
+    """A scripted arm: its first execute pays a slow one-time build."""
+
+    def __init__(self, value, cold_seconds):
+        super().__init__(value)
+        self.cold_seconds = cold_seconds
+        self.is_warm = False
+
+    def execute(self, inputs):
+        if not self.is_warm:
+            time.sleep(self.cold_seconds)
+            self.is_warm = True
+        return super().execute(inputs)
 
 
 class TestABTrialPartition:
@@ -67,6 +84,37 @@ class TestABTrialPartition:
         result = trial.snapshot()
         assert result.challenger_seconds > 0
         assert result.incumbent_seconds > 0
+
+    def test_challenger_is_not_charged_its_cold_execute(self):
+        incumbent = FakePartition(0)
+        challenger = ColdStartPartition(1, cold_seconds=0.2)
+        trial = ABTrialPartition(incumbent, challenger, stride=2)
+        for _ in range(8):
+            trial.execute({})
+        result = trial.snapshot()
+        # Four challenger executes; the cold first one is not a sample.
+        assert result.challenger_samples == 3
+        assert result.challenger_seconds < 0.05
+        assert result.incumbent_samples == 4
+
+    def test_trial_is_warm_once_both_arms_are(self):
+        challenger = ColdStartPartition(1, cold_seconds=0.0)
+        trial = ABTrialPartition(FakePartition(0), challenger, stride=2)
+        trial.execute({})
+        assert not trial.is_warm
+        trial.execute({})  # the challenger's first execute
+        assert trial.is_warm
+
+    def test_cold_incumbent_execute_is_not_a_sample(self):
+        incumbent = ColdStartPartition(0, cold_seconds=0.2)
+        challenger = FakePartition(1)
+        trial = ABTrialPartition(incumbent, challenger, stride=2)
+        for _ in range(4):
+            trial.execute({})
+        result = trial.snapshot()
+        assert result.incumbent_samples == 1
+        assert result.incumbent_seconds < 0.05
+        assert result.challenger_samples == 2
 
     def test_close_spares_the_kept_arm(self):
         incumbent = FakePartition(0)

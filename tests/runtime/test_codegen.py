@@ -1,11 +1,12 @@
 """The codegen executor: differential equivalence and satellites.
 
 The whole-program codegen backend is only allowed to exist because it is
-bit-identical to the interpreter AND the closure executor.  The
-differential matrix (MLP/MHA x f32/int8 x 1/4 threads x three backends)
-is the contract; the rest covers codegen unit behavior (deterministic
-source, linecache registration, pooled buffers, source dumping) and the
-executor-choice cache-isolation regression suite.
+bit-identical to the reference interpreter.  The differential matrix
+(MLP/MHA x f32/int8 x 1/4 threads) is the contract; the rest covers
+codegen unit behavior (deterministic source, linecache
+registration, pooled buffers, source dumping, error-message parity with
+the interpreter) and the executor-choice cache-isolation regression
+suite.
 """
 
 import linecache
@@ -20,7 +21,6 @@ from repro.microkernel.machine import XEON_8358
 from repro.runtime import (
     EXECUTOR_BACKENDS,
     CodegenExecutor,
-    CompiledExecutor,
     Interpreter,
 )
 from repro.service import PartitionCache, graph_signature
@@ -56,8 +56,15 @@ def run_backend(workload, dtype, backend, num_threads):
     return list(outputs.values()), stats
 
 
+def error_message(runner, module, buffers):
+    """The ExecutionError message ``runner(module).run(buffers)`` raises."""
+    with pytest.raises(ExecutionError) as err:
+        runner(module).run(buffers)
+    return str(err.value)
+
+
 class TestDifferential:
-    """All three backends must be indistinguishable on real workloads."""
+    """Codegen must be indistinguishable from the interpreter."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("dtype", [DType.f32, DType.s8],
@@ -66,27 +73,25 @@ class TestDifferential:
     def test_outputs_bit_identical_and_stats_match(
         self, workload, dtype, num_threads
     ):
-        results = {
-            backend: run_backend(workload, dtype, backend, num_threads)
-            for backend in EXECUTOR_BACKENDS
-        }
-        ref_out, ref_stats = results["interpret"]
-        for backend in ("compiled", "codegen"):
-            got_out, got_stats = results[backend]
-            assert len(ref_out) == len(got_out)
-            for ref, got in zip(ref_out, got_out):
-                np.testing.assert_array_equal(ref, got)
-            ref_dict, got_dict = ref_stats.to_dict(), got_stats.to_dict()
-            if num_threads == 1:
-                assert ref_dict == got_dict, backend
-            else:
-                # peak_temp_bytes depends on thread interleaving; every
-                # deterministic counter must still agree.
-                for key in ref_dict:
-                    if key != "peak_temp_bytes":
-                        assert ref_dict[key] == got_dict[key], (
-                            backend, key,
-                        )
+        ref_out, ref_stats = run_backend(
+            workload, dtype, "interpret", num_threads
+        )
+        got_out, got_stats = run_backend(
+            workload, dtype, "codegen", num_threads
+        )
+        assert len(ref_out) == len(got_out)
+        for ref, got in zip(ref_out, got_out):
+            np.testing.assert_array_equal(ref, got)
+        ref_dict, got_dict = ref_stats.to_dict(), got_stats.to_dict()
+        if num_threads == 1:
+            assert ref_dict == got_dict
+        else:
+            # peak_temp_bytes depends on thread interleaving in both
+            # backends; every deterministic counter must still agree.
+            for key in ref_dict:
+                if key != "peak_temp_bytes":
+                    assert ref_dict[key] == got_dict[key], key
+            assert got_dict["peak_temp_bytes"] > 0
 
     def test_dynamic_oob_error_identical_across_backends(self):
         def build():
@@ -98,14 +103,11 @@ class TestDifferential:
             module.add(b.finish())
             return module
 
-        messages = []
-        for runner in (Interpreter, CompiledExecutor, CodegenExecutor):
-            with pytest.raises(ExecutionError) as err:
-                runner(build()).run(
-                    {"x": np.zeros(6, dtype=np.float32)}
-                )
-            messages.append(str(err.value))
-        assert messages[0] == messages[1] == messages[2]
+        messages = [
+            error_message(runner, build(), {"x": np.zeros(6, np.float32)})
+            for runner in (Interpreter, CodegenExecutor)
+        ]
+        assert messages[0] == messages[1]
         assert "out of bounds" in messages[0]
 
 
@@ -164,7 +166,9 @@ class TestCacheIsolation:
                 signature, compile_for(backend)
             ) is partitions[backend]
         assert compiles == list(EXECUTOR_BACKENDS)
-        assert len(set(map(id, partitions.values()))) == 3
+        assert len(set(map(id, partitions.values()))) == len(
+            EXECUTOR_BACKENDS
+        )
 
     def test_tuning_keys_distinct_per_executor(self):
         keys = {
@@ -174,12 +178,10 @@ class TestCacheIsolation:
             for backend in EXECUTOR_BACKENDS
         }
         assert len(keys) == len(EXECUTOR_BACKENDS)
-        # The default stays the compiled executor's namespace.
-        assert tuning_key(256, 256, 256, DType.f32, XEON_8358) in {
-            tuning_key(
-                256, 256, 256, DType.f32, XEON_8358, executor="compiled"
-            )
-        }
+        # The default is the codegen executor's namespace.
+        assert tuning_key(256, 256, 256, DType.f32, XEON_8358) == tuning_key(
+            256, 256, 256, DType.f32, XEON_8358, executor="codegen"
+        )
 
 
 def _fill_module(shape=(4, 8)):
@@ -243,22 +245,33 @@ class TestCodegenUnit:
             == generated[-1].line
 
     def test_static_oob_raises_at_run_not_build(self):
-        b = TirBuilder("f")
-        b.param("x", DType.f32, (4,))
-        b.fill(SliceRef("x", (2,), (4,)), 1.0)
-        module = TirModule(entry="f")
-        module.add(b.finish())
-        executor = CodegenExecutor(module)
-        with pytest.raises(ExecutionError, match="out of bounds"):
-            executor.run({"x": np.zeros(4, dtype=np.float32)})
+        def build():
+            b = TirBuilder("f")
+            b.param("x", DType.f32, (4,))
+            b.fill(SliceRef("x", (2,), (4,)), 1.0)  # [2, 6) over (4,)
+            module = TirModule(entry="f")
+            module.add(b.finish())
+            return module
+
+        CodegenExecutor(build())  # build must not raise
+        messages = [
+            error_message(runner, build(), {"x": np.zeros(4, np.float32)})
+            for runner in (Interpreter, CodegenExecutor)
+        ]
+        assert messages[0] == messages[1]
+        assert "out of bounds" in messages[0]
 
     def test_entry_validation_matches_other_backends(self):
-        module = _fill_module()
-        executor = CodegenExecutor(module)
-        with pytest.raises(ExecutionError, match="missing buffer 'x'"):
-            executor.run({})
-        with pytest.raises(ExecutionError, match="has shape"):
-            executor.run({"x": np.zeros((5, 8), dtype=np.float32)})
+        for buffers, expected in (
+            ({}, "missing buffer 'x'"),
+            ({"x": np.zeros((5, 8), dtype=np.float32)}, "has shape"),
+        ):
+            messages = [
+                error_message(runner, _fill_module(), buffers)
+                for runner in (Interpreter, CodegenExecutor)
+            ]
+            assert messages[0] == messages[1]
+            assert expected in messages[0]
 
     def test_pooled_temporaries_are_rezeroed(self):
         b = TirBuilder("f")
@@ -319,15 +332,15 @@ class TestCodegenUnit:
 
         feed = make_mlp_inputs("MLP_1", 16, DType.f32)
         outs = []
-        for backend in ("compiled", "codegen"):
-            probe = InferenceSession.for_workload(
-                "MLP_1", executor=backend
-            )
+        for backend in EXECUTOR_BACKENDS:
+            options = CompilerOptions(executor=backend)
+            probe = InferenceSession.for_workload("MLP_1", options=options)
             weights = {name: feed[name] for name in probe.weight_names}
             session = InferenceSession.for_workload(
-                "MLP_1", weights=weights, executor=backend
+                "MLP_1", weights=weights, options=options
             )
             inputs = {name: feed[name] for name in session.input_names}
             outs.append(list(session.run(inputs).values()))
+            session.close()
         for ref, got in zip(*outs):
             np.testing.assert_array_equal(ref, got)

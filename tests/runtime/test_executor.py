@@ -1,10 +1,16 @@
-"""The specializing executor: differential equivalence and satellites.
+"""The executor contract: the default backend against the interpreter.
 
-The compiled executor is only allowed to exist because it is bit-identical
-to the interpreter.  The differential matrix here (MLP/MHA x f32/int8 x
-1/4 threads) is the contract; the rest covers the specialization pass's
-unit behavior and the interpreter satellites (persistent pool, Free
-clearing thread-local status, lock-free serial stats).
+Two backends execute Tensor IR: the reference interpreter and codegen,
+the one optimising backend and the default.  The default is only allowed
+to be a backend other than the interpreter because it is bit-identical
+to it; the differential matrix here (MLP/MHA x f32/int8 x 1/4 threads,
+run on whatever ``CompilerOptions()`` selects) is that contract.  The
+rest covers backend selection, the partition's persistent pool, the
+interpreter satellites (Free clearing thread-local status, lock-free
+serial stats) and the build-time specialization the optimising backend
+does (folded slices, bounds checks deferred to run time, entry
+validation and error messages identical to the interpreter's).
+Codegen-only behavior lives in ``test_codegen.py``.
 """
 
 import threading
@@ -15,11 +21,15 @@ import pytest
 
 from repro import CompilerOptions, DType, compile_graph
 from repro.errors import ExecutionError
-from repro.runtime import CompiledExecutor, ExecutionStats, Interpreter
-from repro.runtime.executor import compile_scalar, expr_source
+from repro.runtime import (
+    EXECUTOR_BACKENDS,
+    CodegenExecutor,
+    CompiledPartition,
+    ExecutionStats,
+    Interpreter,
+)
 from repro.runtime.interpreter import _NullLock
 from repro.tensor_ir import SliceRef, TirBuilder, TirModule
-from repro.tensor_ir.expr import Binary, BinaryOp, Const, Var
 from repro.tensor_ir.stmt import Alloc, full_slice
 from repro.workloads import (
     build_mha_graph,
@@ -36,12 +46,10 @@ WORKLOADS = {
 }
 
 
-def run_backend(workload, dtype, backend, num_threads):
+def run_backend(workload, dtype, options, num_threads):
     build, feed = WORKLOADS[workload]
     partition = compile_graph(
-        build(dtype),
-        options=CompilerOptions(executor=backend),
-        num_threads=num_threads,
+        build(dtype), options=options, num_threads=num_threads
     )
     outputs, stats = partition.execute_with_stats(dict(feed(dtype)))
     partition.close()
@@ -50,8 +58,15 @@ def run_backend(workload, dtype, backend, num_threads):
     return list(outputs.values()), stats
 
 
+def error_message(runner, module, buffers):
+    """The ExecutionError message ``runner(module).run(buffers)`` raises."""
+    with pytest.raises(ExecutionError) as err:
+        runner(module).run(buffers)
+    return str(err.value)
+
+
 class TestDifferential:
-    """Interpreter and compiled executor must be indistinguishable."""
+    """The default executor and the interpreter must be indistinguishable."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("dtype", [DType.f32, DType.s8],
@@ -61,10 +76,11 @@ class TestDifferential:
         self, workload, dtype, num_threads
     ):
         ref_out, ref_stats = run_backend(
-            workload, dtype, "interpret", num_threads
+            workload, dtype, CompilerOptions(executor="interpret"),
+            num_threads,
         )
         got_out, got_stats = run_backend(
-            workload, dtype, "compiled", num_threads
+            workload, dtype, CompilerOptions(), num_threads
         )
         assert len(ref_out) == len(got_out)
         for ref, got in zip(ref_out, got_out):
@@ -81,8 +97,9 @@ class TestDifferential:
             assert got_dict["peak_temp_bytes"] > 0
 
     def test_threaded_equals_serial_compiled(self):
-        serial, _ = run_backend("MLP_1", DType.f32, "compiled", 1)
-        threaded, _ = run_backend("MLP_1", DType.f32, "compiled", 4)
+        # "compiled": the default, generated-code backend.
+        serial, _ = run_backend("MLP_1", DType.f32, CompilerOptions(), 1)
+        threaded, _ = run_backend("MLP_1", DType.f32, CompilerOptions(), 4)
         for ref, got in zip(serial, threaded):
             np.testing.assert_array_equal(ref, got)
 
@@ -95,13 +112,15 @@ class TestDifferential:
         # stale state from call one would perturb call two.
         for ref, got in zip(first.values(), second.values()):
             np.testing.assert_array_equal(ref, got)
+        partition.close()
 
 
 class TestBackendSelection:
-    def test_default_is_compiled(self):
+    def test_default_is_codegen(self):
         partition = compile_graph(build_mlp_graph("MLP_1", 16, DType.f32))
-        assert partition.executor == "compiled"
-        assert CompilerOptions().executor == "compiled"
+        assert partition.executor == "codegen"
+        assert CompilerOptions().executor == "codegen"
+        assert EXECUTOR_BACKENDS == ("interpret", "codegen")
 
     def test_interpret_selectable_via_options(self):
         partition = compile_graph(
@@ -117,10 +136,18 @@ class TestBackendSelection:
                 options=CompilerOptions(executor="jit"),
             )
 
+    def test_removed_compiled_backend_rejected(self):
+        # The closure-program backend was deleted; its name must fail
+        # loudly rather than silently fall back to another backend.
+        removed = "compiled"
+        with pytest.raises(ValueError, match=f"executor='{removed}'"):
+            compile_graph(
+                build_mlp_graph("MLP_1", 16, DType.f32),
+                options=CompilerOptions(executor=removed),
+            )
+
     def test_invalid_backend_rejected_by_partition(self):
         partition = compile_graph(build_mlp_graph("MLP_1", 16, DType.f32))
-        from repro.runtime import CompiledPartition
-
         with pytest.raises(ValueError, match="jit"):
             CompiledPartition(partition.lowered, executor="jit")
 
@@ -128,7 +155,7 @@ class TestBackendSelection:
         from repro.microkernel.machine import XEON_8358
         from repro.service import graph_signature
 
-        sig_compiled = graph_signature(
+        sig_default = graph_signature(
             build_mlp_graph("MLP_1", 16, DType.f32),
             XEON_8358,
             CompilerOptions(),
@@ -138,28 +165,24 @@ class TestBackendSelection:
             XEON_8358,
             CompilerOptions(executor="interpret"),
         )
-        assert sig_compiled != sig_interp
+        assert sig_default != sig_interp
 
     def test_session_executor_override(self):
         from repro.service import InferenceSession
 
         feed = make_mlp_inputs("MLP_1", 16, DType.f32)
-        sessions = []
-        for backend in ("interpret", "compiled"):
+        outs = []
+        for backend in EXECUTOR_BACKENDS:
+            options = CompilerOptions(executor=backend)
+            probe = InferenceSession.for_workload("MLP_1", options=options)
+            weights = {name: feed[name] for name in probe.weight_names}
             session = InferenceSession.for_workload(
-                "MLP_1", executor=backend
-            )
-            weights = {
-                name: feed[name] for name in session.weight_names
-            }
-            session = InferenceSession.for_workload(
-                "MLP_1",
-                weights=weights,
-                executor=backend,
+                "MLP_1", weights=weights, options=options
             )
             inputs = {name: feed[name] for name in session.input_names}
-            sessions.append(list(session.run(inputs).values()))
-        for ref, got in zip(*sessions):
+            outs.append(list(session.run(inputs).values()))
+            session.close()
+        for ref, got in zip(*outs):
             np.testing.assert_array_equal(ref, got)
 
 
@@ -195,6 +218,16 @@ def _parallel_module():
         b.fill(SliceRef("x", (i, 0), (1, 8)), 2.0)
     with b.parallel_for("j", 4) as j:
         b.fill(SliceRef("x", (j, 0), (1, 8)), 3.0)
+    module = TirModule(entry="f")
+    module.add(b.finish())
+    return module
+
+
+def _fill_module():
+    b = TirBuilder("f")
+    b.param("x", DType.f32, (4, 8))
+    with b.for_("i", 4) as i:
+        b.fill(SliceRef("x", (i, 0), (1, 8)), 1.0)
     module = TirModule(entry="f")
     module.add(b.finish())
     return module
@@ -269,32 +302,14 @@ class TestInterpreterSatellites:
 
 
 class TestSpecialization:
-    """Unit behavior of the build-time specialization pass."""
-
-    def test_scalar_expressions_fold_or_compile(self):
-        const, fn = compile_scalar(
-            Binary(BinaryOp.MUL, Const(3), Const(4))
-        )
-        assert const == 12 and fn is None
-        expr = Binary(
-            BinaryOp.ADD,
-            Binary(BinaryOp.MUL, Var("i"), Const(16)),
-            Var("j"),
-        )
-        const, fn = compile_scalar(expr)
-        assert const is None
-        assert fn({"i": 2, "j": 5}) == 37
-        assert "s['i']" in expr_source(expr)
+    """Build-time specialization in the optimising backend."""
 
     def test_constant_slices_and_bounds_precomputed(self):
-        b = TirBuilder("f")
-        b.param("x", DType.f32, (4, 8))
-        with b.for_("i", 4) as i:
-            b.fill(SliceRef("x", (i, 0), (1, 8)), 1.0)
-        module = TirModule(entry="f")
-        module.add(b.finish())
+        executor = CodegenExecutor(_fill_module())
+        # The constant column range folds into a literal slice.
+        assert "0:8]" in executor.source_for("f")
         x = np.zeros((4, 8), dtype=np.float32)
-        CompiledExecutor(module).run({"x": x})
+        executor.run({"x": x})
         assert np.all(x == 1.0)
 
     def test_dynamic_bounds_error_matches_interpreter(self):
@@ -307,13 +322,12 @@ class TestSpecialization:
             module.add(b.finish())
             return module
 
-        x = np.zeros(6, dtype=np.float32)
-        with pytest.raises(ExecutionError) as interp_err:
-            Interpreter(build()).run({"x": x})
-        with pytest.raises(ExecutionError) as exec_err:
-            CompiledExecutor(build()).run({"x": x})
-        assert str(interp_err.value) == str(exec_err.value)
-        assert "out of bounds" in str(exec_err.value)
+        messages = [
+            error_message(runner, build(), {"x": np.zeros(6, np.float32)})
+            for runner in (Interpreter, CodegenExecutor)
+        ]
+        assert messages[0] == messages[1]
+        assert "out of bounds" in messages[0]
 
     def test_static_out_of_bounds_raises_at_run_not_build(self):
         b = TirBuilder("f")
@@ -321,21 +335,21 @@ class TestSpecialization:
         b.fill(SliceRef("x", (2,), (4,)), 1.0)  # [2, 6) over a (4,) buf
         module = TirModule(entry="f")
         module.add(b.finish())
-        executor = CompiledExecutor(module)  # build must not raise
+        executor = CodegenExecutor(module)  # build must not raise
         with pytest.raises(ExecutionError, match="out of bounds"):
             executor.run({"x": np.zeros(4, dtype=np.float32)})
 
     def test_entry_validation_matches_interpreter(self):
-        b = TirBuilder("f")
-        b.param("x", DType.f32, (4,))
-        b.fill(full_slice("x", (4,)), 1.0)
-        module = TirModule(entry="f")
-        module.add(b.finish())
-        executor = CompiledExecutor(module)
-        with pytest.raises(ExecutionError, match="missing buffer 'x'"):
-            executor.run({})
-        with pytest.raises(ExecutionError, match="has shape"):
-            executor.run({"x": np.zeros((5,), dtype=np.float32)})
+        for buffers, expected in (
+            ({}, "missing buffer 'x'"),
+            ({"x": np.zeros((5, 8), dtype=np.float32)}, "has shape"),
+        ):
+            messages = [
+                error_message(runner, _fill_module(), buffers)
+                for runner in (Interpreter, CodegenExecutor)
+            ]
+            assert messages[0] == messages[1]
+            assert expected in messages[0]
 
     def test_pooled_temporaries_are_rezeroed(self):
         # out += tmp with tmp never written: must read zeros on every
@@ -352,7 +366,7 @@ class TestSpecialization:
         b.free(tmp)
         module = TirModule(entry="f")
         module.add(b.finish())
-        executor = CompiledExecutor(module)
+        executor = CodegenExecutor(module)
         for _ in range(3):
             out = np.ones(4, dtype=np.float32)
             executor.run({"out": out})
@@ -363,7 +377,7 @@ class TestSpecialization:
         x = np.zeros((4, 8), dtype=np.float32)
         interp = Interpreter(module)
         interp.run({"x": x})
-        stats = CompiledExecutor(module).run(
+        stats = CodegenExecutor(module).run(
             {"x": np.zeros((4, 8), dtype=np.float32)}
         )
         assert stats.to_dict() == interp.stats.to_dict()

@@ -54,6 +54,31 @@ class TestIntrospection:
         assert p.init_stats.pack_stmts > 0  # weight prepack
 
 
+class TestWarmth:
+    """``is_warm``: whether the next execute is free of one-time work."""
+
+    @pytest.mark.parametrize("backend", ["interpret", "codegen"])
+    def test_cold_until_first_execute(self, backend):
+        b = GraphBuilder("p")
+        x = b.input("x", DType.f32, (16, 32))
+        w = b.constant("w", dtype=DType.f32, shape=(32, 16))
+        b.output(b.relu(b.matmul(x, w)))
+        p = compile_graph(
+            b.finish(), options=CompilerOptions(executor=backend)
+        )
+        assert not p.is_warm
+        rng = np.random.RandomState(0)
+        p.execute(
+            {
+                "x": rng.randn(16, 32).astype(np.float32),
+                "w": rng.randn(32, 16).astype(np.float32),
+            }
+        )
+        assert p.is_warm
+        p.close()
+        assert p.is_warm  # close releases the pool, not the build
+
+
 class TestExecuteValidation:
     def test_missing_activation(self):
         p = make_partition()

@@ -134,130 +134,6 @@ class TestBenchTool:
         assert validate_chrome_trace_file(str(path)) == []
 
 
-class TestRuntimeBench:
-    def test_quick_runtime_bench_writes_valid_json(self, capsys, tmp_path):
-        import json
-
-        from repro.tools.bench import main as bench_main
-        from repro.tools.bench import validate_bench_runtime
-
-        path = tmp_path / "BENCH_runtime.json"
-        assert bench_main(
-            ["runtime", "--quick", "--repeat", "1", "--json", str(path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Runtime backends" in out
-        assert "geomean" in out
-        document = json.loads(path.read_text())
-        assert validate_bench_runtime(document) == []
-        assert document["schema"] == "repro.bench_runtime/v2"
-        assert document["executors"] == [
-            "interpret", "compiled", "codegen",
-        ]
-        machine = document["machine"]
-        assert machine["host_cpus"] >= 1
-        assert isinstance(machine["platform"], str)
-        for entry in document["workloads"]:
-            assert entry["identical"] is True
-            for ratio in (
-                "compiled", "codegen", "codegen_vs_compiled",
-            ):
-                assert entry["speedup"][ratio] > 0
-
-    def test_single_backend_run(self, capsys, tmp_path):
-        import json
-
-        from repro.tools.bench import main as bench_main
-
-        path = tmp_path / "runtime.json"
-        assert bench_main(
-            ["runtime", "--quick", "--repeat", "1",
-             "--executor", "compiled", "--json", str(path)]
-        ) == 0
-        document = json.loads(path.read_text())
-        assert document["executors"] == ["compiled"]
-        for entry in document["workloads"]:
-            assert "compiled_ms" in entry
-            assert "speedup" not in entry
-
-    def test_validator_rejects_malformed_documents(self):
-        from repro.tools.bench import validate_bench_runtime
-
-        assert validate_bench_runtime({"schema": "nope"}) != []
-        bad = {
-            "schema": "repro.bench_runtime/v2",
-            "machine": {"host_cpus": 1, "platform": "linux"},
-            "dtype": "f32",
-            "num_threads": 1,
-            "repeat": 1,
-            "executors": ["interpret", "compiled", "codegen"],
-            "workloads": [
-                {
-                    "group": "fig8-mlp",
-                    "name": "MLP_1_b32",
-                    "interpret_ms": 1.0,
-                    "compiled_ms": -2.0,  # non-positive latency
-                    "codegen_ms": 0.5,
-                    "identical": False,  # multi run must be identical
-                }
-            ],
-            "geomean_speedup": {},
-        }
-        errors = validate_bench_runtime(bad)
-        assert any("compiled_ms" in e for e in errors)
-        assert any("identical" in e for e in errors)
-        assert any("speedup" in e for e in errors)
-
-    def test_validator_requires_v2_machine_provenance(self):
-        from repro.tools.bench import validate_bench_runtime
-
-        document = {
-            "schema": "repro.bench_runtime/v2",
-            "machine": "XEON_8358",  # v2 demands a provenance object
-            "dtype": "f32",
-            "num_threads": 1,
-            "repeat": 1,
-            "executors": ["compiled"],
-            "workloads": [
-                {
-                    "group": "fig8-mlp",
-                    "name": "MLP_1_b32",
-                    "compiled_ms": 1.0,
-                }
-            ],
-        }
-        errors = validate_bench_runtime(document)
-        assert any("machine" in e for e in errors)
-        document["machine"] = {"host_cpus": 0, "platform": "linux"}
-        assert any(
-            "host_cpus" in e for e in validate_bench_runtime(document)
-        )
-
-    def test_validator_accepts_legacy_v1_documents(self):
-        from repro.tools.bench import validate_bench_runtime
-
-        legacy = {
-            "schema": "repro.bench_runtime/v1",
-            "machine": "XEON_8358",  # v1's hardcoded string tag
-            "dtype": "f32",
-            "num_threads": 1,
-            "repeat": 1,
-            "executors": ["interpret", "compiled"],
-            "workloads": [
-                {
-                    "group": "fig8-mlp",
-                    "name": "MLP_1_b32",
-                    "interpret_ms": 2.0,
-                    "compiled_ms": 1.0,
-                    "speedup": 2.0,  # v1: scalar two-way ratio
-                    "identical": True,
-                }
-            ],
-            "geomean_speedup": {"fig8-mlp": 2.0, "all": 2.0},
-        }
-        assert validate_bench_runtime(legacy) == []
-
-
 class TestServingBench:
     def test_quick_serving_bench_writes_valid_json(self, capsys, tmp_path):
         import json
