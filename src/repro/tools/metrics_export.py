@@ -2,23 +2,23 @@
 
 Usage::
 
-    # Re-render the fleet metrics a traced bench run embedded in its
+    # Re-render the fleet metrics a traced run embedded in its
     # Chrome-trace document (otherData.metric_records) as one merged
     # Prometheus scrape:
-    python -m repro.tools.metrics_export --trace BENCH_trace.json
+    python -m repro.tools.metrics_export --trace trace.json
 
     # Validate the output against the exposition-format checker too:
-    python -m repro.tools.metrics_export --trace BENCH_trace.json --check
+    python -m repro.tools.metrics_export --trace trace.json --check
 
     # Write to a file instead of stdout:
     python -m repro.tools.metrics_export --trace t.json --out metrics.prom
 
-    # Self-contained demo scrape (no trace file needed):
-    python -m repro.tools.metrics_export --demo
-
-The trace path consumes the ``metric_records`` block ``bench.py``
-writes: one :meth:`~repro.observability.MetricsRegistry.export_records`
-dump per process (front end + every sharded worker), full instrument
+The trace path consumes the ``metric_records`` block that
+:func:`~repro.observability.write_chrome_trace` writes when given
+``metric_records=``: one
+:meth:`~repro.observability.MetricsRegistry.export_records` dump per
+process (e.g. a :class:`~repro.service.ShardedSession`'s
+``metrics_records()`` plus the front end's registry), full instrument
 state including quantile-histogram buckets.  Counters sum, gauges add
 and histograms merge bucket-by-bucket before rendering, so the p50/p95/
 p99 summary quantiles in the scrape are honest fleet-wide percentiles.
@@ -31,7 +31,7 @@ import json
 import sys
 from typing import List, Optional
 
-from ..observability.metrics import MetricsRegistry, merge_metric_records
+from ..observability.metrics import merge_metric_records
 from ..observability.prometheus import (
     render_metric_records,
     validate_exposition_text,
@@ -55,36 +55,17 @@ def records_from_trace(path: str) -> List[List[dict]]:
     return records
 
 
-def _demo_registry() -> MetricsRegistry:
-    """A small synthetic fleet: two processes' worth of metric state."""
-    shards = []
-    for worker in ("w0", "w1"):
-        registry = MetricsRegistry()
-        registry.counter("service.worker.requests").inc(40)
-        registry.gauge("service.shard.workers").set(1)
-        hist = registry.histogram("service.latency_seconds", worker=worker)
-        for i in range(1, 101):
-            hist.observe(i / 1000.0)
-        shards.append(registry.export_records())
-    return merge_metric_records(shards)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.metrics_export",
         description="Render repro metric state as a Prometheus scrape.",
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
+    parser.add_argument(
         "--trace",
         metavar="PATH",
-        help="Chrome-trace JSON written by bench.py --trace; its "
-        "otherData.metric_records block is merged across processes",
-    )
-    source.add_argument(
-        "--demo",
-        action="store_true",
-        help="render a synthetic two-worker fleet instead of a trace",
+        required=True,
+        help="Chrome-trace JSON whose otherData.metric_records block "
+        "(one record list per process) is merged into one scrape",
     )
     parser.add_argument(
         "--out",
@@ -99,22 +80,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.demo:
-        merged = _demo_registry()
-    else:
-        try:
-            records = records_from_trace(args.trace)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if not records:
-            print(
-                f"error: {args.trace} carries no metric_records "
-                "(was it written by bench.py --trace?)",
-                file=sys.stderr,
-            )
-            return 1
-        merged = merge_metric_records(records)
+    try:
+        records = records_from_trace(args.trace)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if not records:
+        print(
+            f"error: {args.trace} carries no metric_records "
+            "(was it written with write_chrome_trace(metric_records=...)?)",
+            file=sys.stderr,
+        )
+        return 1
+    merged = merge_metric_records(records)
 
     text = render_metric_records(merged.export_records())
     if args.check:

@@ -394,6 +394,31 @@ class TestBatchingMode:
         reference.close()
 
 
+#: Dynamic-batch cases beyond MLP_1 f32: (workload, dtype, batches).
+#: MHA_1 s8 is left to the tests/runtime/test_dynamic.py matrix.
+DYNAMIC_CASES = (
+    ("MLP_1", DType.s8, (1, 3, 17, 32)),
+    ("MHA_1", DType.f32, (1, 3)),
+)
+
+
+def workload_session(workload, dtype, **kwargs):
+    """A session over ``workload`` with weights fixed at batch 32."""
+    weights = None
+    if workload.startswith("MLP"):
+        inputs = make_mlp_inputs(workload, 32, dtype)
+        weights = {k: v for k, v in inputs.items() if k.startswith("w")}
+    return InferenceSession.for_workload(
+        workload, dtype=dtype, weights=weights, **kwargs
+    )
+
+
+def workload_activations(workload, dtype, batch, seed):
+    if workload.startswith("MHA"):
+        return make_mha_inputs(workload, batch, dtype, seed=seed)
+    return {"x": make_mlp_inputs(workload, batch, dtype, seed=seed)["x"]}
+
+
 class TestDynamicBatch:
     """dynamic_batch='on': one shape-polymorphic partition, zero padding."""
 
@@ -415,9 +440,19 @@ class TestDynamicBatch:
                 assert next(iter(out.values())).shape[0] == batch
         assert counter.count == 1
         assert sess.stats().compiles == 1
+        sess.close()
+        for workload, dtype, batches in DYNAMIC_CASES:
+            sess = workload_session(workload, dtype, dynamic_batch="on")
+            with compile_counter() as counter:
+                for batch in batches:
+                    feed = workload_activations(workload, dtype, batch, batch)
+                    out = sess.run(feed)
+                    assert next(iter(out.values())).shape[0] == batch
+            assert counter.count == 1, (workload, dtype)
+            assert sess.stats().compiles == 1
+            sess.close()
         padded_after = registry.value("service.padding_rows") or 0
         assert padded_after == padded_before
-        sess.close()
 
     def test_bit_identical_to_static_bucket_path(self):
         weights = mlp_weights()
@@ -431,6 +466,16 @@ class TestDynamicBatch:
             np.testing.assert_array_equal(got, want)
         dynamic.close()
         bucketed.close()
+        for workload, dtype, batches in DYNAMIC_CASES:
+            dynamic = workload_session(workload, dtype, dynamic_batch="on")
+            bucketed = workload_session(workload, dtype, batch_buckets=[32])
+            for batch in batches:
+                feed = workload_activations(workload, dtype, batch, batch)
+                got = next(iter(dynamic.run(feed).values()))
+                want = next(iter(bucketed.run(feed).values()))
+                np.testing.assert_array_equal(got, want)
+            dynamic.close()
+            bucketed.close()
 
     def test_dynamic_rejects_buckets_and_bad_mode(self):
         with pytest.raises(ValueError, match="incompatible"):
