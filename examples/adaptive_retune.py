@@ -62,7 +62,6 @@ def main() -> None:
     with InferenceSession.for_workload(
         "MLP_1",
         weights=weights,
-        batch_buckets=[32],
         adaptive="on",
         adaptive_config=CONFIG,
     ) as session:

@@ -5,15 +5,16 @@ Serves the paper's MLP_1 workload (the MLPerf DLRM bottom MLP) through two
 sessions sharing one PartitionCache:
 
 * an **unbatched** session — every request executes the partition alone,
-  padded up to its shape bucket;
+  at its own batch size;
 * a **batched** session (``batching="on"``) — a `BatchingEngine` holds each
-  request briefly in a per-bucket queue, concatenates up to ``max_batch``
-  concurrent requests along the batch axis, executes the bucket partition
-  once, and splits the outputs back to the callers' futures.
+  request briefly in its queue, concatenates up to ``max_batch``
+  concurrent requests along the batch axis, executes the partition once
+  at the combined row count, and splits the outputs back to the callers'
+  futures.
 
-Both paths run the *same* compiled partition, so results are bit-identical
-— verified below — while the batched path fills the bucket with useful
-rows instead of padding and amortizes dispatch across the window.
+Both paths run the *same* shape-polymorphic partition, so results are
+bit-identical — verified below — while the batched path amortizes
+dispatch across the window.
 
 Run:  PYTHONPATH=src python examples/serving_batched.py
 """
@@ -30,7 +31,7 @@ from repro.service import (
 )
 from repro.workloads import make_mlp_inputs
 
-BUCKET = 32
+WARM_BATCH = 32
 N_CLIENTS = 8
 REQUESTS_PER_CLIENT = 6
 
@@ -67,7 +68,7 @@ def serve(session, plans):
 def main() -> None:
     weights = {
         name: array
-        for name, array in make_mlp_inputs("MLP_1", BUCKET).items()
+        for name, array in make_mlp_inputs("MLP_1", WARM_BATCH).items()
         if name.startswith("w")
     }
     cache = PartitionCache()
@@ -87,12 +88,11 @@ def main() -> None:
             "MLP_1",
             weights=weights,
             cache=cache,
-            batch_buckets=[BUCKET],
             batching=batching,
             max_batch=16,
             batch_timeout_us=2_000,
         ) as session:
-            session.run({"x": np.zeros((BUCKET, 13), np.float32)})  # warm
+            session.run({"x": np.zeros((WARM_BATCH, 13), np.float32)})  # warm
             outputs, wall = serve(session, plans)
             results[batching] = (outputs, wall)
             if session.engine is not None:
@@ -109,7 +109,7 @@ def main() -> None:
     print(
         f"{total} requests coalesced into {stats.batches} executions "
         f"(coalesce ratio {stats.coalesce_ratio:.2f}, "
-        f"bucket utilization {stats.utilization:.0%})"
+        f"{stats.rows} rows, none padded)"
     )
     print()
     print(format_batching_stats(stats))

@@ -3,10 +3,10 @@
 
 Builds one `InferenceSession` over the paper's MLP_1 workload (the MLPerf
 DLRM bottom MLP), binds the weights once, and serves mixed batch sizes
-from several threads.  The session rounds each request up to a shape
-bucket (compiling once per bucket, single-flight), pads the activations,
-and slices the outputs back — so 32 requests across 4 threads need only
-3 compilations.
+from several threads.  The session compiles ONE shape-polymorphic
+partition (symbolic batch dim, single-flight) and executes every request
+at its exact batch size — so 32 requests of mixed sizes across 4
+threads need one compilation and pad nothing.
 
 Run:  PYTHONPATH=src python examples/serving_mlp.py
 """
@@ -19,7 +19,7 @@ from repro import DType, compile_graph
 from repro.service import InferenceSession, PartitionCache, format_stats
 from repro.workloads import build_mlp_graph, make_mlp_inputs
 
-BUCKETS = (32, 64, 128)
+MAX_BATCH = 128
 N_THREADS = 4
 REQUESTS_PER_THREAD = 8
 
@@ -38,13 +38,12 @@ def main() -> None:
         dtype=DType.f32,
         weights=weights,
         cache=cache,
-        batch_buckets=BUCKETS,
     )
 
     rng = np.random.RandomState(0)
     plans = []
     for _ in range(N_THREADS):
-        batches = rng.randint(4, BUCKETS[-1] + 1, REQUESTS_PER_THREAD)
+        batches = rng.randint(4, MAX_BATCH + 1, REQUESTS_PER_THREAD)
         plans.append(
             [
                 (int(b), rng.randn(int(b), 13).astype(np.float32))
@@ -69,7 +68,8 @@ def main() -> None:
         t.join()
     assert not errors, errors
 
-    # Spot-check one padded request against a direct one-shot compile.
+    # Spot-check one request against a direct one-shot compile at its
+    # exact batch size.
     x = rng.randn(20, 13).astype(np.float32)
     served = list(session.run({"x": x}).values())[0]
     direct = list(
@@ -78,18 +78,18 @@ def main() -> None:
         ).values()
     )[0]
     print(
-        "padded-bucket vs direct compile: max |diff| ="
+        "shape-polymorphic vs direct compile: max |diff| ="
         f" {np.abs(served - direct).max():.2e}"
     )
 
     stats = session.stats()
     total = N_THREADS * REQUESTS_PER_THREAD + 1
     print(
-        f"served {total} requests over buckets {BUCKETS} "
-        f"with {stats.compiles} compilations"
+        f"served {total} requests of batch 4..{MAX_BATCH} "
+        f"with {stats.compiles} compilation(s)"
     )
     print(f"cache hit rate: {stats.hit_rate:.1%}")
-    print("per-bucket compile counts:")
+    print("per-signature compile counts:")
     for sig in sorted(stats.signatures, key=lambda s: s.label):
         print(
             f"  {sig.label:<16} compiles={sig.compiles} "
@@ -97,7 +97,7 @@ def main() -> None:
         )
     print()
     print(format_stats(stats))
-    assert stats.compiles == len(BUCKETS)
+    assert stats.compiles == 1
     print("ok")
 
 

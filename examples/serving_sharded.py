@@ -3,10 +3,11 @@
 
 A :class:`~repro.service.ShardedSession` front end owns a fleet of worker
 processes.  Each worker runs its own `PartitionCache` + `InferenceSession`
-(micro-batching on), and every (model, shape-bucket) signature is routed
-to exactly one worker by consistent hashing with bounded loads — so each
-partition compiles **once** across the whole fleet and stays hot in a
-single process, instead of every process compiling everything.
+(micro-batching on).  Each model compiles to one shape-polymorphic
+partition, and its signature is routed to exactly one worker by
+consistent hashing with bounded loads — so each partition compiles
+**once** across the whole fleet and stays hot in a single process,
+instead of every process compiling everything.
 
 Tensors cross the process boundary through shared-memory ring slots
 (`multiprocessing.shared_memory`), not pickles: the front end packs the
@@ -36,30 +37,24 @@ from repro.service import (
 )
 from repro.workloads import make_mlp_inputs
 
-BUCKETS = (4, 8)
 WORKERS = 2
 
 
 def mlp_weights(name):
-    inputs = make_mlp_inputs(name, max(BUCKETS), seed=0)
+    inputs = make_mlp_inputs(name, 8, seed=0)
     return {k: v for k, v in inputs.items() if k.startswith("w")}
 
 
 def main() -> None:
     specs = [
-        ModelSpec(
-            name=name,
-            workload=name,
-            weights=mlp_weights(name),
-            batch_buckets=BUCKETS,
-        )
+        ModelSpec(name=name, workload=name, weights=mlp_weights(name))
         for name in ("MLP_1", "MLP_2")
     ]
 
     with ShardedSession(
         specs, num_workers=WORKERS, heartbeat_interval=0.1
     ) as fleet:
-        # Pre-compile every (model, bucket) pair in its home worker.
+        # Pre-compile every model's partition in its home worker.
         fleet.warm_up()
         placement = fleet.stats().placement()
         for worker in sorted(placement):
@@ -68,7 +63,7 @@ def main() -> None:
         # The fleet serves bit-identically to a single in-process session.
         x = make_mlp_inputs("MLP_1", 8, seed=1)["x"]
         with InferenceSession.for_workload(
-            "MLP_1", weights=mlp_weights("MLP_1"), batch_buckets=BUCKETS
+            "MLP_1", weights=mlp_weights("MLP_1")
         ) as reference:
             served = list(fleet.run({"x": x}, model="MLP_1").values())
             direct = list(reference.run({"x": x}).values())
@@ -78,7 +73,7 @@ def main() -> None:
 
         # Kill a worker mid-stream: the heartbeat restarts it and the
         # in-flight requests are re-dispatched — none fail.
-        victim_id = fleet.worker_for("MLP_1", 8)
+        victim_id = fleet.worker_for("MLP_1")
         victim = fleet.workers()[victim_id]
         futures = [
             fleet.submit({"x": x}, model="MLP_1") for _ in range(10)

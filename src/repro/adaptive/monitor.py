@@ -197,7 +197,7 @@ class AdaptiveManager:
             re-search); signatures with no capture are monitored but
             never retuned.
         compile_fresh_for: signature -> a zero-arg callable compiling a
-            fresh partition for that signature's bucket, bypassing the
+            fresh partition for that signature, bypassing the
             partition cache (the challenger build).
         tuning_cache_path: Where retuned records are written back; must
             match the path the session compiles with.

@@ -12,7 +12,7 @@ Two pieces:
   re-searches each with :meth:`~repro.tuner.tuner.MatmulTuner.retune`
   (seeded from the incumbent's params, measured refinement always on,
   written back through :meth:`~repro.tuner.cache.TuningCache.update`),
-  then recompiles the bucket's graph.  Because the recompile reads the
+  then recompiles the signature's graph.  Because the recompile reads the
   same :class:`~repro.tuner.cache.TuningCache` the retune just updated —
   and the graph signature deliberately does not fold cache *contents* —
   the challenger lands under the same cache key as the incumbent, which
@@ -94,7 +94,7 @@ class TuningProblemCapture:
 class Retuner:
     """Re-searches a signature's tuning problems and builds its challenger.
 
-    ``compile_fresh`` is the session's bucket recompile hook (bypassing
+    ``compile_fresh`` is the session's recompile hook (bypassing
     the partition cache); the tuning-cache path must match what the
     session compiles with, so the recompile observes the updates.
     """

@@ -81,7 +81,7 @@ class LayoutPropagationPass(GraphPass):
     def run(self, graph: Graph, ctx: CompileContext) -> Graph:
         #: op.id -> the params the *hint-sized static* program would pick;
         #: dynamic-m negotiation consults this shadow map so its k-geometry
-        #: (and thus its numerics) matches the static bucket program.
+        #: (and thus its numerics) matches the static hint-sized program.
         self._hint_params: Dict[int, MatmulParams] = {}
         consumers = graph.consumer_map()
         producers = graph.producer_map()
@@ -162,7 +162,7 @@ class LayoutPropagationPass(GraphPass):
         template emits a runtime-count block loop), no k-slicing (its
         combine grid is m-dependent), no L2 m-chunking.  nb/kb/bs — the
         dims that determine per-row numerics — keep the hint program's
-        choice, so rows come out bit-identical to the static bucket
+        choice, so rows come out bit-identical to the static hint-sized
         program.  The A operand is always a full runtime-geometry pack:
         BLOCKED sharing and PACK_SLICE key on static m equalities.
         """

@@ -7,16 +7,20 @@ Signature -> cache -> session -> batching:
 * :class:`PartitionCache` is an LRU, byte-budgeted, single-flight cache of
   :class:`~repro.runtime.partition.CompiledPartition` that closes
   partitions it evicts;
-* :class:`InferenceSession` binds weights once and serves ``run(inputs)``
-  thread-safely with shape-bucketed batch specialization;
+* :class:`InferenceSession` binds weights once, compiles ONE
+  shape-polymorphic partition per model (symbolic batch,
+  ``dyn("B", DYNAMIC_BATCH_HINT)``) and serves ``run(inputs)``
+  thread-safely at each request's exact batch size — no buckets, no
+  padding;
 * :class:`BatchingEngine` (``InferenceSession(batching="on")``) coalesces
-  concurrent requests per shape bucket into single partition executions —
-  ``submit(inputs) -> Future`` plus a blocking ``run`` wrapper;
+  concurrent requests into single partition executions of any combined
+  row count — ``submit(inputs) -> Future`` plus a blocking ``run``
+  wrapper;
 * :class:`ServiceStats` / :class:`BatchingStats` snapshot what the cache
-  and the engine did (including shape-bucket padding utilization);
+  and the engine did;
 * :class:`ShardedSession` scales the whole stack across worker
   *processes*: signature-routed (consistent hashing, one compile home
-  per partition), shared-memory tensor transport
+  per model), shared-memory tensor transport
   (:class:`~repro.service.shm.TensorRing`), warm-up, heartbeats with
   automatic worker restart, and graceful drain.
 """
@@ -24,7 +28,6 @@ Signature -> cache -> session -> batching:
 from .batching import (
     BatchingEngine,
     BatchingStats,
-    BucketBatchStats,
     format_batching_stats,
 )
 from .cache import PartitionCache, partition_nbytes
@@ -51,7 +54,6 @@ __all__ = [
     "BATCHING_MODES",
     "BatchingEngine",
     "BatchingStats",
-    "BucketBatchStats",
     "ConsistentHashRing",
     "PartitionCache",
     "partition_nbytes",

@@ -1,45 +1,33 @@
 """Dynamic micro-batching: coalesce concurrent requests into one execution.
 
-The serving path so far executes every request alone: a request of batch 8
-in a 32-bucket pays a full bucket execution for a quarter of its rows, and
-eight concurrent callers pay eight executor dispatches.  The
-:class:`BatchingEngine` sits in front of an :class:`.InferenceSession` and
-turns that regime around — exactly the "small batch sizes in real
+Executed alone, eight concurrent callers pay eight executor dispatches.
+The :class:`BatchingEngine` sits in front of an :class:`.InferenceSession`
+and turns that regime around — exactly the "small batch sizes in real
 production scenarios" the paper targets, attacked from the serving side
 (clipper/triton-style dynamic batching) instead of the compiler side.
 
 How it works:
 
-* ``submit(inputs) -> Future`` drops the request into a **per-shape-bucket
-  queue** (the bucket the session would round the request up to anyway).
-* One **dispatcher thread per bucket** coalesces up to ``max_batch``
-  pending requests within a ``batch_timeout_us`` window, stopping early
-  when the combined rows fill the bucket exactly.
-* The dispatcher **concatenates** the requests along the batch axis, pads
-  the remainder once, executes the compiled partition **once**, and
-  **splits** the output back onto the per-request futures.
+* ``submit(inputs) -> Future`` drops the request into the engine's one
+  **queue**.
+* One **dispatcher thread** coalesces up to ``max_batch`` pending requests
+  within a ``batch_timeout_us`` window.
+* The dispatcher **concatenates** the requests along the batch axis,
+  executes the session's shape-polymorphic partition **once** at exactly
+  the combined row count, and **splits** the output back onto the
+  per-request futures.
 
-One bucket execution therefore amortizes executor dispatch, thread-pool
-fan-out and padding waste across the whole micro-batch; per-request
-results are bit-identical to the unbatched path because every batch row is
-computed independently by the generated kernels.
+One execution therefore amortizes executor dispatch and thread-pool
+fan-out across the whole micro-batch; per-request results are
+bit-identical to the unbatched path because every batch row is computed
+independently by the generated kernels.  The partition serves any row
+count, so a window has no row bound, nothing is padded and the cache holds
+one entry no matter how batches combine.
 
-Backpressure is a bounded per-bucket queue (``queue_depth``): submitters
-block until the dispatcher drains space.  ``close(drain=True)`` completes
-every queued request; ``close(drain=False)`` cancels what has not started
-executing — either way no future is left pending.
-
-Buckets are what make coalescing shape-stable: requests whose bucket is an
-*exact* specialization (a session without ``batch_buckets``, or a batch
-beyond the largest bucket) are dispatched solo, since combining them would
-mint new partition shapes per combination and churn the cache.
-
-Sessions in ``dynamic_batch="on"`` mode change the rules: the one
-shape-polymorphic partition serves any row count, so every request joins a
-single queue (sentinel bucket 0), windows coalesce up to ``max_batch``
-requests with **no row bound**, and each window executes at exactly its
-combined row count — padding is structurally zero and the cache holds one
-entry no matter how batches combine.
+Backpressure is a bounded queue (``queue_depth``): submitters block until
+the dispatcher drains space.  ``close(drain=True)`` completes every queued
+request; ``close(drain=False)`` cancels what has not started executing —
+either way no future is left pending.
 """
 
 from __future__ import annotations
@@ -48,8 +36,8 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +51,7 @@ _RUNNING, _DRAINING, _CANCELLING = "running", "draining", "cancelling"
 
 @dataclass
 class _Request:
-    """One queued inference request awaiting a dispatcher."""
+    """One queued inference request awaiting the dispatcher."""
 
     inputs: Dict[str, np.ndarray]
     batch: int
@@ -71,49 +59,6 @@ class _Request:
     enqueued: float
     #: Trace identity riding with the request; None when tracing is off.
     ctx: Optional[RequestContext] = None
-
-
-class _BucketQueue:
-    """Pending requests for one shape bucket plus its dispatcher thread."""
-
-    __slots__ = ("bucket", "capacity", "items", "cond", "thread")
-
-    def __init__(self, bucket: int, capacity: Optional[int]) -> None:
-        self.bucket = bucket
-        #: Max combined batch units per execution; ``None`` disables
-        #: coalescing (exact-specialization buckets dispatch solo) and
-        #: ``float("inf")`` removes the row bound (dynamic-batch mode).
-        self.capacity = capacity
-        self.items: "deque[_Request]" = deque()
-        self.cond = threading.Condition()
-        self.thread: Optional[threading.Thread] = None
-
-
-@dataclass(frozen=True)
-class BucketBatchStats:
-    """Lifetime batching counters for one shape bucket."""
-
-    bucket: int
-    requests: int
-    batches: int
-    rows: int
-    padded_rows: int
-
-    @property
-    def utilization(self) -> float:
-        """Useful rows / computed rows for this bucket's executions."""
-        computed = self.rows + self.padded_rows
-        return self.rows / computed if computed else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "bucket": self.bucket,
-            "requests": self.requests,
-            "batches": self.batches,
-            "rows": self.rows,
-            "padded_rows": self.padded_rows,
-            "utilization": self.utilization,
-        }
 
 
 @dataclass(frozen=True)
@@ -126,11 +71,15 @@ class BatchingStats:
     cancelled: int
     batches: int
     rows: int
-    padded_rows: int
     max_requests_per_batch: int
     queue_wait_seconds: float
     max_queue_wait_seconds: float
-    buckets: Tuple[BucketBatchStats, ...] = field(default_factory=tuple)
+
+    @property
+    def padded_rows(self) -> int:
+        """Always 0: every window executes at its exact row count.  Kept
+        so readers of the older snapshot shape keep working."""
+        return 0
 
     @property
     def coalesce_ratio(self) -> float:
@@ -141,12 +90,6 @@ class BatchingStats:
     def mean_queue_wait_seconds(self) -> float:
         return self.queue_wait_seconds / self.completed if self.completed else 0.0
 
-    @property
-    def utilization(self) -> float:
-        """Useful rows / computed rows across every execution."""
-        computed = self.rows + self.padded_rows
-        return self.rows / computed if computed else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "submitted": self.submitted,
@@ -155,74 +98,51 @@ class BatchingStats:
             "cancelled": self.cancelled,
             "batches": self.batches,
             "rows": self.rows,
-            "padded_rows": self.padded_rows,
             "max_requests_per_batch": self.max_requests_per_batch,
             "queue_wait_seconds": self.queue_wait_seconds,
             "max_queue_wait_seconds": self.max_queue_wait_seconds,
             "coalesce_ratio": self.coalesce_ratio,
             "mean_queue_wait_seconds": self.mean_queue_wait_seconds,
-            "utilization": self.utilization,
-            "buckets": [b.to_dict() for b in self.buckets],
         }
 
 
 def format_batching_stats(stats: BatchingStats) -> str:
-    """Human-readable BatchingStats block (printed by ``bench.py serve``)."""
-    lines = [
-        "BatchingStats",
-        (
-            f"  submitted={stats.submitted} completed={stats.completed} "
-            f"failed={stats.failed} cancelled={stats.cancelled}"
-        ),
-        (
-            f"  batches={stats.batches} "
-            f"coalesce_ratio={stats.coalesce_ratio:.2f} "
-            f"max_requests_per_batch={stats.max_requests_per_batch}"
-        ),
-        (
-            f"  rows={stats.rows} padded_rows={stats.padded_rows} "
-            f"utilization={stats.utilization:.1%}"
-        ),
-        (
-            f"  queue_wait mean={stats.mean_queue_wait_seconds * 1e3:.3f}ms "
-            f"max={stats.max_queue_wait_seconds * 1e3:.3f}ms"
-        ),
-    ]
-    for b in sorted(stats.buckets, key=lambda b: b.bucket):
-        lines.append(
-            f"    bucket {b.bucket:>5}: requests={b.requests} "
-            f"batches={b.batches} rows={b.rows} "
-            f"padded={b.padded_rows} util={b.utilization:.1%}"
-        )
-    return "\n".join(lines)
-
-
-class _BucketCounters:
-    __slots__ = ("requests", "batches", "rows", "padded_rows")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.batches = 0
-        self.rows = 0
-        self.padded_rows = 0
+    """Human-readable BatchingStats block."""
+    return "\n".join(
+        [
+            "BatchingStats",
+            (
+                f"  submitted={stats.submitted} completed={stats.completed} "
+                f"failed={stats.failed} cancelled={stats.cancelled}"
+            ),
+            (
+                f"  batches={stats.batches} rows={stats.rows} "
+                f"coalesce_ratio={stats.coalesce_ratio:.2f} "
+                f"max_requests_per_batch={stats.max_requests_per_batch}"
+            ),
+            (
+                f"  queue_wait mean={stats.mean_queue_wait_seconds * 1e3:.3f}ms "
+                f"max={stats.max_queue_wait_seconds * 1e3:.3f}ms"
+            ),
+        ]
+    )
 
 
 class BatchingEngine:
     """Dynamic micro-batcher in front of one :class:`.InferenceSession`.
 
     Args:
-        session: The session whose bucketed partitions serve the batches.
-            The engine needs every activation input and every output to
-            carry exactly one batch-scaled axis (so requests concatenate
-            and split cleanly); sessions over workloads violating that are
+        session: The session whose partition serves the batches.  The
+            engine needs every activation input and every output to carry
+            exactly one batch-scaled axis (so requests concatenate and
+            split cleanly); sessions over workloads violating that are
             rejected here.
         max_batch: Most requests one execution may coalesce.
-        batch_timeout_us: How long a dispatcher holds the first request of
-            a window open for followers, in microseconds.  The window
-            closes early once the combined rows fill the bucket.
-        queue_depth: Bound on queued (not yet dispatched) requests per
-            bucket; submitters block while their bucket is full.  ``None``
-            disables backpressure.
+        batch_timeout_us: How long the dispatcher holds the first request
+            of a window open for followers, in microseconds.
+        queue_depth: Bound on queued (not yet dispatched) requests;
+            submitters block while the queue is full.  ``None`` disables
+            backpressure.
     """
 
     def __init__(
@@ -240,7 +160,6 @@ class BatchingEngine:
         if queue_depth is not None and queue_depth < 1:
             raise ValueError("queue_depth must be >= 1 (or None)")
         self._session = session
-        self._dynamic = getattr(session, "dynamic_batch", "off") == "on"
         self.max_batch = int(max_batch)
         self.batch_timeout_us = int(batch_timeout_us)
         self.queue_depth = queue_depth
@@ -266,8 +185,9 @@ class BatchingEngine:
         self._input_dtypes: Dict[str, np.dtype] = dict(
             getattr(session, "input_dtypes", {}) or {}
         )
-        self._lock = threading.Lock()
-        self._queues: Dict[int, _BucketQueue] = {}
+        #: Guards the queue and the lifecycle state.
+        self._cond = threading.Condition()
+        self._items: "deque[_Request]" = deque()
         self._state = _RUNNING
         self._stats_lock = threading.Lock()
         self._submitted = 0
@@ -276,11 +196,13 @@ class BatchingEngine:
         self._cancelled = 0
         self._batches = 0
         self._rows = 0
-        self._padded_rows = 0
         self._max_requests = 0
         self._wait_sum = 0.0
         self._wait_max = 0.0
-        self._per_bucket: Dict[int, _BucketCounters] = {}
+        self._thread = threading.Thread(
+            target=self._dispatch, name="repro-batch", daemon=True
+        )
+        self._thread.start()
 
     # -- submission -----------------------------------------------------------
 
@@ -294,7 +216,7 @@ class BatchingEngine:
 
         Validates shapes/dtypes *here* so a malformed request fails its own
         caller instead of poisoning the batch it would have joined.  Blocks
-        while the target bucket's queue is at ``queue_depth``.
+        while the queue is at ``queue_depth``.
 
         When tracing is on the request carries a :class:`RequestContext`
         (minted here unless the caller — e.g. a shard worker relaying a
@@ -306,9 +228,6 @@ class BatchingEngine:
         if batch <= 0:
             raise ValueError("batch must be positive")
         arrays = self._validated(inputs, batch)
-        # Dynamic sessions coalesce every request in one queue (sentinel
-        # bucket 0): any combined row count runs exactly, unpadded.
-        bucket = 0 if self._dynamic else self._session.bucket_for(batch)
         tracer = get_tracer()
         if tracer.enabled:
             phase = "t"
@@ -318,45 +237,29 @@ class BatchingEngine:
             with tracer.span(
                 "request.enqueue",
                 category="service",
-                bucket=bucket,
                 batch=batch,
                 trace_id=ctx.trace_id,
             ):
                 tracer.flow("request", phase, ctx.flow_id)
-        with self._lock:
-            if self._state != _RUNNING:
-                raise SessionClosedError("BatchingEngine is closed")
-            queue = self._queue_for_locked(bucket)
         registry = get_registry()
-        with queue.cond:
+        with self._cond:
             while (
                 self.queue_depth is not None
-                and len(queue.items) >= self.queue_depth
+                and len(self._items) >= self.queue_depth
                 and self._state == _RUNNING
             ):
                 registry.counter("service.batch.queue_full_waits").inc()
-                queue.cond.wait()
+                self._cond.wait()
+            # Checked under the lock close() flips the state with: a
+            # request appended here is still seen by the dispatcher,
+            # which drains or cancels it before exiting.
             if self._state != _RUNNING:
                 raise SessionClosedError("BatchingEngine is closed")
             future: "Future[Dict[str, np.ndarray]]" = Future()
-            request = _Request(
-                arrays, batch, future, time.perf_counter(), ctx=ctx
+            self._items.append(
+                _Request(arrays, batch, future, time.perf_counter(), ctx=ctx)
             )
-            queue.items.append(request)
-            queue.cond.notify_all()
-        # close() may have flipped the state between our check and the
-        # append.  If the dispatcher is still alive it will drain or
-        # cancel the request; if it already exited (and close()'s
-        # leftover sweep ran before our append), nothing would ever
-        # settle this future — take it back and fail cleanly instead.
-        if self._state != _RUNNING:
-            with queue.cond:
-                dispatcher_done = (
-                    queue.thread is None or not queue.thread.is_alive()
-                )
-                if dispatcher_done and request in queue.items:
-                    queue.items.remove(request)
-                    raise SessionClosedError("BatchingEngine is closed")
+            self._cond.notify_all()
         with self._stats_lock:
             self._submitted += 1
         registry.counter("service.requests").inc()
@@ -396,87 +299,54 @@ class BatchingEngine:
 
     # -- dispatch -------------------------------------------------------------
 
-    def _queue_for_locked(self, bucket: int) -> _BucketQueue:
-        queue = self._queues.get(bucket)
-        if queue is None:
-            if self._dynamic:
-                # One queue, unbounded row capacity: the dynamic
-                # partition executes any combined row count exactly, so
-                # windows close on max_batch or the timeout alone.
-                queue = _BucketQueue(bucket, float("inf"))
-            else:
-                buckets = self._session.buckets
-                coalescible = buckets is not None and bucket in buckets
-                queue = _BucketQueue(bucket, bucket if coalescible else None)
-            queue.thread = threading.Thread(
-                target=self._dispatch,
-                args=(queue,),
-                name=f"repro-batch-{'dyn' if self._dynamic else bucket}",
-                daemon=True,
-            )
-            self._queues[bucket] = queue
-            queue.thread.start()
-        return queue
-
-    def _dispatch(self, queue: _BucketQueue) -> None:
-        """Dispatcher loop for one bucket: collect a window, execute it."""
-        tracer = get_tracer()
+    def _dispatch(self) -> None:
+        """Dispatcher loop: collect a window, execute it."""
         while True:
-            with queue.cond:
-                while not queue.items and self._state == _RUNNING:
-                    queue.cond.wait()
-                if not queue.items:
+            with self._cond:
+                while not self._items and self._state == _RUNNING:
+                    self._cond.wait()
+                if not self._items:
                     return  # closed and drained
                 if self._state == _CANCELLING:
                     cancelled = 0
-                    while queue.items:
-                        request = queue.items.popleft()
-                        if request.future.cancel():
+                    while self._items:
+                        if self._items.popleft().future.cancel():
                             cancelled += 1
-                    queue.cond.notify_all()
+                    self._cond.notify_all()
                     with self._stats_lock:
                         self._cancelled += cancelled
                     get_registry().counter("service.batch.cancelled").inc(
                         cancelled
                     )
                     return
-                with tracer.span(
-                    "batch.collect", category="service", bucket=queue.bucket
+                with get_tracer().span(
+                    "batch.collect", category="service"
                 ) as span:
-                    requests, rows = self._collect_locked(queue)
-                    span.set(requests=len(requests), rows=rows)
-                queue.cond.notify_all()  # free backpressure waiters
-            self._execute(queue, requests, rows)
+                    requests = self._collect_locked()
+                    span.set(
+                        requests=len(requests),
+                        rows=sum(r.batch for r in requests),
+                    )
+                self._cond.notify_all()  # free backpressure waiters
+            self._execute(requests)
 
-    def _collect_locked(
-        self, queue: _BucketQueue
-    ) -> Tuple[List[_Request], int]:
+    def _collect_locked(self) -> List[_Request]:
         """Pop one coalescing window off the queue (cond held)."""
-        first = queue.items.popleft()
-        requests = [first]
-        rows = first.batch
-        if queue.capacity is None:
-            return requests, rows
+        requests = [self._items.popleft()]
         deadline = time.perf_counter() + self._timeout_s
-        while len(requests) < self.max_batch and rows < queue.capacity:
-            if queue.items:
-                if rows + queue.items[0].batch <= queue.capacity:
-                    request = queue.items.popleft()
-                    requests.append(request)
-                    rows += request.batch
-                    continue
-                break  # head does not fit; ship what we have
+        while len(requests) < self.max_batch:
+            if self._items:
+                requests.append(self._items.popleft())
+                continue
             if self._state != _RUNNING:
                 break  # draining: don't hold the window open
             remaining = deadline - time.perf_counter()
             if remaining <= 0:
                 break
-            queue.cond.wait(remaining)
-        return requests, rows
+            self._cond.wait(remaining)
+        return requests
 
-    def _execute(
-        self, queue: _BucketQueue, requests: List[_Request], rows: int
-    ) -> None:
+    def _execute(self, requests: List[_Request]) -> None:
         """Run one coalesced window through the session's partition."""
         # A caller may have cancelled a future while it sat in the queue;
         # set_running_or_notify_cancel also makes later cancels no-ops.
@@ -491,12 +361,6 @@ class BatchingEngine:
         if not live:
             return
         rows = sum(r.batch for r in live)
-        if self._dynamic:
-            bucket = rows  # exact execution: padding is structurally zero
-        elif queue.capacity is not None:
-            bucket = queue.bucket
-        else:
-            bucket = self._session.bucket_for(rows)
         start = time.perf_counter()
         tracer = get_tracer()
         ctxs = [r.ctx for r in live if r.ctx is not None]
@@ -505,11 +369,10 @@ class BatchingEngine:
             with tracer.span(
                 "batch.execute",
                 category="service",
-                bucket=bucket,
                 requests=len(live),
                 rows=rows,
             ), bind_contexts(ctxs):
-                outputs = self._session.execute_bucket(combined, rows, bucket)
+                outputs = self._session.execute(combined, rows)
                 # One batch.execute slice linked to the N coalesced
                 # request chains: a local chain (hop 0) terminates here,
                 # a relayed one (shard worker) steps through.
@@ -529,7 +392,7 @@ class BatchingEngine:
             return
         for request, result in zip(live, results):
             request.future.set_result(result)
-        self._note_executed(live, rows, bucket, start)
+        self._note_executed(live, rows, start)
 
     def _combine(self, requests: List[_Request]) -> Dict[str, np.ndarray]:
         if len(requests) == 1:
@@ -559,31 +422,19 @@ class BatchingEngine:
         return results
 
     def _note_executed(
-        self,
-        requests: List[_Request],
-        rows: int,
-        bucket: int,
-        start: float,
+        self, requests: List[_Request], rows: int, start: float
     ) -> None:
-        padded = max(0, bucket - rows)
         waits = [start - r.enqueued for r in requests]
         with self._stats_lock:
             self._completed += len(requests)
             self._batches += 1
             self._rows += rows
-            self._padded_rows += padded
             self._max_requests = max(self._max_requests, len(requests))
             self._wait_sum += sum(waits)
             self._wait_max = max(self._wait_max, max(waits))
-            counters = self._per_bucket.setdefault(bucket, _BucketCounters())
-            counters.requests += len(requests)
-            counters.batches += 1
-            counters.rows += rows
-            counters.padded_rows += padded
         registry = get_registry()
         registry.counter("service.batch.executions").inc()
         registry.counter("service.batch.requests").inc(len(requests))
-        registry.counter("service.batch.padding_rows").inc(padded)
         registry.histogram("service.batch.size").observe(len(requests))
         registry.histogram("service.batch.rows").observe(rows)
         for wait in waits:
@@ -604,29 +455,12 @@ class BatchingEngine:
         cancels queued requests (windows already executing still complete).
         Idempotent; later calls return immediately.
         """
-        with self._lock:
+        with self._cond:
             if self._state != _RUNNING:
                 return
             self._state = _DRAINING if drain else _CANCELLING
-            queues = list(self._queues.values())
-        for queue in queues:
-            with queue.cond:
-                queue.cond.notify_all()
-        for queue in queues:
-            if queue.thread is not None:
-                queue.thread.join()
-        # Belt and braces: nothing may stay pending after close.
-        leftover = 0
-        for queue in queues:
-            with queue.cond:
-                while queue.items:
-                    request = queue.items.popleft()
-                    if request.future.cancel():
-                        leftover += 1
-        if leftover:
-            with self._stats_lock:
-                self._cancelled += leftover
-            get_registry().counter("service.batch.cancelled").inc(leftover)
+            self._cond.notify_all()
+        self._thread.join()
 
     def __enter__(self) -> "BatchingEngine":
         return self
@@ -639,16 +473,6 @@ class BatchingEngine:
     def stats(self) -> BatchingStats:
         """Immutable snapshot of every batching counter."""
         with self._stats_lock:
-            buckets = tuple(
-                BucketBatchStats(
-                    bucket=bucket,
-                    requests=c.requests,
-                    batches=c.batches,
-                    rows=c.rows,
-                    padded_rows=c.padded_rows,
-                )
-                for bucket, c in sorted(self._per_bucket.items())
-            )
             return BatchingStats(
                 submitted=self._submitted,
                 completed=self._completed,
@@ -656,9 +480,7 @@ class BatchingEngine:
                 cancelled=self._cancelled,
                 batches=self._batches,
                 rows=self._rows,
-                padded_rows=self._padded_rows,
                 max_requests_per_batch=self._max_requests,
                 queue_wait_seconds=self._wait_sum,
                 max_queue_wait_seconds=self._wait_max,
-                buckets=buckets,
             )

@@ -64,10 +64,6 @@ class _SigRecord:
     compiles: int = 0
     compile_seconds: float = 0.0
     executes: int = 0
-    #: Batch units the callers actually asked for vs what the bucket
-    #: computed — their ratio is the bucket's padding utilization.
-    rows_requested: int = 0
-    rows_computed: int = 0
     #: Exponentially-weighted moving average of per-execution latency
     #: (seconds) — the live signal the adaptive drift monitor reads.
     latency_ewma: float = 0.0
@@ -231,29 +227,22 @@ class PartitionCache:
         signature: str,
         count: int = 1,
         *,
-        rows_requested: int = 0,
-        rows_computed: int = 0,
         latency_seconds: Optional[float] = None,
     ) -> None:
         """Record ``count`` executions against a signature.
 
-        ``rows_requested``/``rows_computed`` accumulate the batch units
-        the caller asked for vs what the bucket actually computed, making
-        shape-bucket padding waste visible in :class:`ServiceStats`.
-
         ``latency_seconds`` feeds the per-signature measured-latency EWMA
         (weight :attr:`ewma_alpha` on the newest sample) that the adaptive
-        drift monitor compares against the cost model's expectation.
-        Signatures serve one fixed shape bucket, so latencies are
-        comparable across a signature's lifetime.  Callers pass ``None``
+        drift monitor compares against the cost model's expectation.  A
+        serving signature is shape-polymorphic, so its samples mix every
+        batch size the traffic carried: the EWMA and the distribution
+        track the traffic mix as much as the partition.  Callers pass ``None``
         for an execute that paid a partition's one-time build and weight
         init: it still counts as an execute, but not as a latency sample.
         """
         with self._lock:
             record = self._records.setdefault(signature, _SigRecord())
             record.executes += count
-            record.rows_requested += rows_requested
-            record.rows_computed += rows_computed
             if latency_seconds is not None:
                 if record.latency_samples == 0:
                     record.latency_ewma = latency_seconds
@@ -422,8 +411,6 @@ class PartitionCache:
                     compile_seconds=record.compile_seconds,
                     executes=record.executes,
                     resident=sig in self._entries,
-                    rows_requested=record.rows_requested,
-                    rows_computed=record.rows_computed,
                     latency_ewma_seconds=record.latency_ewma,
                     latency_samples=record.latency_samples,
                     swaps=record.swaps,

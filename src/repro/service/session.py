@@ -1,11 +1,13 @@
 """InferenceSession: the serving front-end over cache + signatures.
 
 A session owns a graph-builder callable (``batch -> Graph``), the model
-weights (bound once), and a :class:`PartitionCache`.  ``run(inputs)`` is
-thread-safe: it infers the request's batch size, rounds it up to the
-nearest configured shape bucket, pads the batch-dependent activations to
-the bucket, executes the (cached, single-flight-compiled) partition for
-that bucket, and slices the outputs back to the requested batch.
+weights (bound once), and a :class:`PartitionCache`.  It compiles ONE
+shape-polymorphic partition per model: the graph is built with a symbolic
+leading dim, ``dyn("B", DYNAMIC_BATCH_HINT)``, and every request executes
+at its exact batch size — no round-up, no zero padding, and one cache
+entry whatever the batch distribution.  ``run(inputs)`` is thread-safe:
+it infers the request's batch size and executes the (cached,
+single-flight-compiled) partition on it.
 
 Which dimensions scale with the batch is discovered structurally: the
 session builds two probe graphs at different batch sizes and diffs the
@@ -14,8 +16,8 @@ the MHA mask's leading batch dim) without per-workload configuration.
 
 With ``batching="on"`` the session fronts a
 :class:`~repro.service.batching.BatchingEngine`: concurrent requests are
-coalesced per shape bucket into single partition executions (``run`` is
-then a blocking wrapper over ``submit``'s Future).  Sessions are context
+coalesced into single partition executions (``run`` is then a blocking
+wrapper over ``submit``'s Future).  Sessions are context
 managers; ``close()`` settles the engine and releases the partitions'
 persistent thread pools when the session owns its cache.
 """
@@ -41,7 +43,6 @@ from ..observability import get_registry, get_tracer
 from ..observability.context import active_contexts
 from ..observability.flight import get_flight_recorder
 from .batching import BatchingEngine
-from .buckets import is_oversize, note_oversize_compile, resolve_bucket
 from .cache import PartitionCache
 from .signature import graph_signature
 from .stats import ServiceStats
@@ -57,13 +58,11 @@ BATCHING_MODES = ("off", "on")
 #: Valid values for ``InferenceSession(adaptive=)``.
 ADAPTIVE_MODES = ("off", "on")
 
-#: Valid values for ``InferenceSession(dynamic_batch=)``.
-DYNAMIC_BATCH_MODES = ("off", "on")
-
 #: Compile-time size hint for the symbolic batch dim: template selection
 #: and layout negotiation run against this value, so the one dynamic
-#: partition carries exactly the program a static bucket of this size
-#: would (that is what makes dynamic and padded-static bit-identical).
+#: partition carries exactly the program a static compile at this batch
+#: would (its rows are bit-identical to that program run on zero-padded
+#: inputs).
 DYNAMIC_BATCH_HINT = 32
 
 
@@ -93,10 +92,9 @@ class ModelProbe:
     """Structural batch-shape discovery for one graph-builder callable.
 
     Builds two probe graphs at different batch sizes and diffs the
-    input/output shapes to learn which axes scale with the batch — the
-    same discovery :class:`InferenceSession` performs, factored out so
-    other front ends (the sharded tier's router) can reuse it without
-    constructing a full session.
+    input/output shapes to learn which axes scale with the batch.
+    :class:`InferenceSession` keeps one; the sharded tier's router uses
+    it without constructing a full session.
     """
 
     def __init__(self, builder: Callable[[int], Graph]) -> None:
@@ -169,31 +167,29 @@ class InferenceSession:
 
     Args:
         graph_builder: Callable mapping a batch size to a fresh
-            :class:`Graph`.  Must be deterministic: isomorphic graphs for
-            equal batch sizes (workload builders such as
-            :func:`~repro.workloads.build_mlp_graph` qualify).
+            :class:`Graph`.  Must be deterministic (isomorphic graphs for
+            equal batch sizes) and accept a symbolic batch,
+            ``dyn("B", hint)``, as workload builders such as
+            :func:`~repro.workloads.build_mlp_graph` do: the session
+            compiles the symbolic graph once and serves every batch size
+            from that one partition.
         weights: Runtime-constant input arrays by name, bound once here
-            and supplied to every partition's first execution.
+            and supplied to the partition's first execution.
         machine: Compilation target.
         options: Compiler feature toggles.
         cache: Shared :class:`PartitionCache`; a private unbounded cache
             is created when omitted.
-        batch_buckets: Batch sizes to specialize for.  A request's batch
-            is rounded up to the nearest bucket (padding activations with
-            zeros, slicing outputs back); batches above the largest bucket
-            get an exact-size specialization.  ``None`` compiles exactly
-            per distinct batch size.
         num_threads: Intra-partition parallelism for compiled partitions.
         batching: ``"off"`` serves every ``run()`` synchronously on the
-            caller's thread (the original path); ``"on"`` routes requests
-            through a :class:`.BatchingEngine` that coalesces concurrent
-            requests per shape bucket into single partition executions
-            (and additionally enables :meth:`submit`).
+            caller's thread; ``"on"`` routes requests through a
+            :class:`.BatchingEngine` that coalesces concurrent requests
+            into single partition executions (and additionally enables
+            :meth:`submit`).
         max_batch: Most requests one coalesced execution may contain
             (``batching="on"`` only).
         batch_timeout_us: Coalescing window in microseconds
             (``batching="on"`` only).
-        queue_depth: Per-bucket backpressure bound on queued requests
+        queue_depth: Backpressure bound on queued requests
             (``batching="on"`` only; ``None`` disables backpressure).
         adaptive: ``"off"`` (default) serves statically — no background
             threads, no behavior change whatsoever.  ``"on"`` attaches a
@@ -207,17 +203,6 @@ class InferenceSession:
         adaptive_config: Knobs for the adaptive loop
             (:class:`~repro.adaptive.AdaptiveConfig`); defaults apply
             when omitted.  Ignored with ``adaptive="off"``.
-        dynamic_batch: ``"off"`` (default) serves through static shape
-            buckets as above.  ``"on"`` compiles ONE shape-polymorphic
-            partition (the graph is built with a symbolic leading dim,
-            ``dyn("B", DYNAMIC_BATCH_HINT)``) and executes every request
-            at its exact batch size: no bucket round-up, no zero padding,
-            ``service.padding_rows`` stays 0, and the partition cache
-            holds a single entry regardless of the batch distribution.
-            Mutually exclusive with ``batch_buckets``.  Composes with
-            ``batching="on"`` (requests coalesce without a row bound) and
-            with ``adaptive="on"`` (the one dynamic signature is retuned
-            like any static one — challengers are rebuilt symbolically).
     """
 
     def __init__(
@@ -228,7 +213,6 @@ class InferenceSession:
         machine: MachineModel = XEON_8358,
         options: Optional[CompilerOptions] = None,
         cache: Optional[PartitionCache] = None,
-        batch_buckets: Optional[Sequence[int]] = None,
         num_threads: int = 1,
         batching: str = "off",
         max_batch: int = 32,
@@ -236,7 +220,6 @@ class InferenceSession:
         queue_depth: Optional[int] = 256,
         adaptive: str = "off",
         adaptive_config=None,
-        dynamic_batch: str = "off",
     ) -> None:
         self._builder = graph_builder
         self._weights: Dict[str, np.ndarray] = dict(weights or {})
@@ -245,31 +228,13 @@ class InferenceSession:
         self._owns_cache = cache is None
         self._cache = cache if cache is not None else PartitionCache()
         self._num_threads = num_threads
-        if dynamic_batch not in DYNAMIC_BATCH_MODES:
-            raise ValueError(
-                f"unknown dynamic_batch mode {dynamic_batch!r}; "
-                f"expected one of {DYNAMIC_BATCH_MODES}"
-            )
-        self._dynamic = dynamic_batch == "on"
-        if self._dynamic and batch_buckets is not None:
-            raise ValueError(
-                "dynamic_batch='on' is incompatible with batch_buckets: "
-                "the shape-polymorphic partition serves every batch "
-                "exactly, so there are no buckets to round up to"
-            )
-        if batch_buckets is not None:
-            buckets = sorted(set(int(b) for b in batch_buckets))
-            if not buckets or buckets[0] <= 0:
-                raise ValueError("batch_buckets must be positive integers")
-            self._buckets: Optional[Tuple[int, ...]] = tuple(buckets)
-        else:
-            self._buckets = None
         self._lock = threading.Lock()
         self._close_lock = threading.Lock()
-        self._sig_by_bucket: Dict[int, str] = {}
-        self._label_by_bucket: Dict[int, str] = {}
         self._closed = False
-        self._probe()
+        self._probe = ModelProbe(graph_builder)
+        #: The one partition's cache key and label, minted on first use.
+        self._signature: Optional[str] = None
+        self._label = ""
         if batching not in BATCHING_MODES:
             raise ValueError(
                 f"unknown batching mode {batching!r}; "
@@ -290,8 +255,10 @@ class InferenceSession:
             )
         self._adaptive = adaptive
         self._adaptive_manager = None
-        self._problems_by_sig: Dict[str, list] = {}
-        self._output_names_by_sig: Dict[str, List[str]] = {}
+        #: Tuning problems the compile asked about (adaptive sessions).
+        self._problems: list = []
+        #: Output names of the first compile: the client-visible contract.
+        self._output_names: Optional[List[str]] = None
         if adaptive == "on":
             # Imported lazily: adaptive="off" sessions never pay for (or
             # observe) the adaptive machinery.
@@ -343,44 +310,34 @@ class InferenceSession:
 
     # -- shape discovery ------------------------------------------------------
 
-    def _probe(self) -> None:
-        """Diff two probe graphs to learn the batch-dependent axes."""
-        probe = ModelProbe(self._builder)
-        self._input_batch_axes = probe.input_batch_axes
-        self._input_dtypes = probe.input_dtypes
-        self._activation_names = probe.activation_names
-        self._weight_names = probe.weight_names
-        self._output_batch_axes = probe.output_batch_axes
-        self._batch_ref = probe.batch_ref
-
-    # -- serving --------------------------------------------------------------
-
-    @property
-    def buckets(self) -> Optional[Tuple[int, ...]]:
-        return self._buckets
-
     @property
     def weight_names(self) -> List[str]:
-        return list(self._weight_names)
+        return list(self._probe.weight_names)
 
     @property
     def input_names(self) -> List[str]:
-        return list(self._activation_names)
+        return list(self._probe.activation_names)
 
     @property
     def input_batch_axes(self) -> Dict[str, _BatchAxes]:
         """Per-activation (axis, multiplier) pairs that scale with batch."""
-        return {k: list(v) for k, v in self._input_batch_axes.items()}
+        return {k: list(v) for k, v in self._probe.input_batch_axes.items()}
 
     @property
     def output_batch_axes(self) -> List[_BatchAxes]:
         """Per-output (axis, multiplier) pairs that scale with batch."""
-        return [list(axes) for axes in self._output_batch_axes]
+        return [list(axes) for axes in self._probe.output_batch_axes]
 
     @property
     def input_dtypes(self) -> Dict[str, np.dtype]:
         """Expected numpy dtype of each activation input."""
-        return dict(self._input_dtypes)
+        return dict(self._probe.input_dtypes)
+
+    def infer_batch(self, inputs: Mapping[str, np.ndarray]) -> int:
+        """Batch size of one request, read off a batch-scaled input dim."""
+        return self._probe.infer_batch(inputs)
+
+    # -- serving --------------------------------------------------------------
 
     @property
     def batching(self) -> str:
@@ -389,10 +346,6 @@ class InferenceSession:
     @property
     def adaptive(self) -> str:
         return self._adaptive
-
-    @property
-    def dynamic_batch(self) -> str:
-        return "on" if self._dynamic else "off"
 
     @property
     def adaptive_manager(self):
@@ -404,57 +357,24 @@ class InferenceSession:
         """The micro-batching engine, or None when ``batching="off"``."""
         return self._engine
 
-    def bucket_for(self, batch: int) -> int:
-        """The compilation bucket serving ``batch`` requests.
-
-        In dynamic mode the partition is shape-polymorphic, so every
-        batch is its own (exact) bucket and no padding ever happens.
-        """
-        if self._dynamic:
-            return batch
-        return resolve_bucket(self._buckets, batch)
-
-    def infer_batch(self, inputs: Mapping[str, np.ndarray]) -> int:
-        """Batch size of one request, read off a batch-scaled input dim."""
-        if self._batch_ref is None:
-            raise ValueError(
-                "workload has no batch-dependent inputs; "
-                "call run() with explicit batch=..."
-            )
-        name, axis, mult = self._batch_ref
-        if name not in inputs:
-            raise ValueError(
-                f"cannot infer batch size: missing input {name!r}"
-            )
-        dim = int(np.asarray(inputs[name]).shape[axis])
-        if dim % mult:
-            raise ValueError(
-                f"input {name!r} dim {axis} = {dim} is not a multiple "
-                f"of {mult}"
-            )
-        return dim // mult
-
-    def warm(self, bucket: int) -> None:
-        """Pre-compile (and execute once, on zeros) the ``bucket`` partition.
+    def warm(self) -> None:
+        """Pre-compile (and execute once, on zeros) the session's partition.
 
         Pulls compilation, weight preprocessing and executor
         specialization out of the first real request's latency — the
-        sharded tier's warm-up phase calls this for every (model, bucket)
-        a worker is responsible for before the worker accepts traffic.
+        sharded tier's warm-up phase calls this for every model a worker
+        is responsible for before the worker accepts traffic.
         """
         if self._closed:
             raise SessionClosedError("InferenceSession is closed")
-        graph = self._builder(bucket)
-        inputs: Dict[str, np.ndarray] = {}
-        for tensor in graph.inputs:
-            if tensor.id in graph.constants:
-                continue
-            if tensor.name in self._weight_names:
-                continue
-            inputs[tensor.name] = np.zeros(
-                tensor.shape, dtype=tensor.dtype.to_numpy()
-            )
-        self.execute_bucket(inputs, bucket, bucket)
+        graph = self._builder(DYNAMIC_BATCH_HINT)
+        inputs: Dict[str, np.ndarray] = {
+            tensor.name: np.zeros(tensor.shape, dtype=tensor.dtype.to_numpy())
+            for tensor in graph.inputs
+            if tensor.id not in graph.constants
+            and tensor.name not in self._probe.weight_names
+        }
+        self.execute(inputs, DYNAMIC_BATCH_HINT)
 
     def run(
         self,
@@ -463,10 +383,10 @@ class InferenceSession:
     ) -> Dict[str, np.ndarray]:
         """Serve one request; thread-safe.
 
-        Returns output name -> array, shaped for the *request's* batch
-        size (bucket padding is invisible to the caller).  With
-        ``batching="on"`` the request joins the micro-batching queue and
-        this call blocks until its share of a coalesced execution lands.
+        Returns output name -> array, shaped for the request's batch
+        size.  With ``batching="on"`` the request joins the
+        micro-batching queue and this call blocks until its share of a
+        coalesced execution lands.
         """
         if self._closed:
             raise SessionClosedError("InferenceSession is closed")
@@ -474,20 +394,15 @@ class InferenceSession:
             return self._engine.run(inputs, batch=batch)
         if batch is None:
             batch = self.infer_batch(inputs)
-        bucket = self.bucket_for(batch)
         tracer = get_tracer()
         if tracer.enabled:
-            with tracer.span(
-                "serve", category="service", batch=batch, bucket=bucket
-            ):
-                outputs = self.execute_bucket(inputs, batch, bucket)
+            with tracer.span("serve", category="service", batch=batch):
+                outputs = self.execute(inputs, batch)
         else:
-            outputs = self.execute_bucket(inputs, batch, bucket)
+            outputs = self.execute(inputs, batch)
         registry = get_registry()
         registry.counter("service.requests").inc()
         registry.histogram("service.request_batch").observe(batch)
-        if bucket != batch:
-            registry.counter("service.padded_requests").inc()
         return outputs
 
     def submit(
@@ -513,29 +428,18 @@ class InferenceSession:
             )
         return self._engine.submit(inputs, batch=batch, ctx=ctx)
 
-    def execute_bucket(
-        self, inputs: Mapping[str, np.ndarray], batch: int, bucket: int
+    def execute(
+        self, inputs: Mapping[str, np.ndarray], batch: int
     ) -> Dict[str, np.ndarray]:
-        """Execute the ``bucket`` partition on ``batch`` units of input.
+        """Execute the partition once on ``batch`` units of input.
 
-        The building block both serving paths share: pads the activations
-        up to the bucket, runs the (cached) partition once, slices the
-        outputs back to ``batch``, and accounts the padding waste
-        (``service.padding_rows`` counter, per-signature utilization —
-        both in *batch units*, i.e. rows for batch-major workloads).
+        The building block both serving paths share: binds the weights,
+        runs the (cached) partition at the inputs' exact batch size and
+        records the execution against the partition's signature.
         """
-        partition, signature = self._partition_for(bucket)
+        partition, signature = self._partition()
         feed: Dict[str, np.ndarray] = dict(self._weights)
-        if bucket == batch:
-            feed.update(inputs)
-        else:
-            for name, array in inputs.items():
-                axes = self._input_batch_axes.get(name)
-                feed[name] = (
-                    self._pad(np.asarray(array), axes, batch, bucket)
-                    if axes
-                    else array
-                )
+        feed.update(inputs)
         # An execute that starts cold pays the partition's one-time
         # build and weight init; it is kept out of the latency evidence
         # the drift monitor compares against.
@@ -545,12 +449,12 @@ class InferenceSession:
         if tracer.enabled:
             # The partition-execution hop of any request chains bound to
             # this thread (the batching engine binds the coalesced
-            # contexts around execute_bucket).
+            # contexts around execute).
             with tracer.span(
                 "partition.execute",
                 category="service",
                 signature=signature[:12],
-                bucket=bucket,
+                batch=batch,
             ):
                 for ctx in active_contexts():
                     tracer.flow("request", "t", ctx.flow_id)
@@ -567,160 +471,97 @@ class InferenceSession:
             duration=latency,
             signature=signature[:12],
             batch=batch,
-            bucket=bucket,
         )
         self._cache.note_execute(
-            signature,
-            rows_requested=batch,
-            rows_computed=bucket,
-            latency_seconds=latency if warm else None,
+            signature, latency_seconds=latency if warm else None
         )
-        if bucket == batch:
-            return outputs
-        get_registry().counter("service.padding_rows").inc(bucket - batch)
-        sliced: Dict[str, np.ndarray] = {}
-        for index, (name, array) in enumerate(outputs.items()):
-            axes = (
-                self._output_batch_axes[index]
-                if index < len(self._output_batch_axes)
-                else []
+        return outputs
+
+    def _symbolic_graph(self) -> Graph:
+        """A fresh graph at the symbolic batch — what the session compiles."""
+        return self._builder(dyn("B", DYNAMIC_BATCH_HINT))
+
+    def _partition(self):
+        if self._signature is None:
+            # Racing first callers mint the same (deterministic) values.
+            graph = self._symbolic_graph()
+            self._label = graph.name
+            self._signature = graph_signature(
+                graph, self._machine, self._options
             )
-            sliced[name] = self._slice(array, axes, batch)
-        return sliced
-
-    def _compile_batch(self, bucket: int):
-        """The batch value the graph builder sees when compiling ``bucket``.
-
-        Dynamic sessions always build the symbolic graph — every bucket
-        maps to the one shape-polymorphic program, compiled against the
-        static hint so template selection matches a hint-sized bucket.
-        """
-        return dyn("B", DYNAMIC_BATCH_HINT) if self._dynamic else bucket
-
-    def _partition_for(self, bucket: int):
-        # Dynamic mode has exactly one partition; key its signature under
-        # the sentinel bucket 0 (never a legal batch size).
-        key = 0 if self._dynamic else bucket
-        with self._lock:
-            signature = self._sig_by_bucket.get(key)
-            label = self._label_by_bucket.get(key, "")
-        if signature is None:
-            probe = self._builder(self._compile_batch(bucket))
-            signature = graph_signature(probe, self._machine, self._options)
-            label = probe.name
-            with self._lock:
-                minted = key not in self._sig_by_bucket
-                self._sig_by_bucket.setdefault(key, signature)
-                self._label_by_bucket.setdefault(key, label)
-            if minted and is_oversize(self._buckets, bucket):
-                # Exact specialization beyond the bucket set: the one
-                # unbounded edge of the serving cache — make it countable.
-                note_oversize_compile(label)
+        signature = self._signature
 
         def _compile():
             # compile_graph mutates its graph, so build a fresh one here
             # (runs at most once per signature thanks to single-flight).
             if self._adaptive_manager is None:
                 return compile_graph(
-                    self._builder(self._compile_batch(bucket)),
+                    self._symbolic_graph(),
                     self._machine,
                     self._options,
                     num_threads=self._num_threads,
                 )
-            # Adaptive sessions record which tuning problems this
-            # signature's compile asked about — the retuner's work list.
+            # Adaptive sessions record which tuning problems the compile
+            # asked about — the retuner's work list.
             from ..adaptive import TuningProblemCapture
 
             with TuningProblemCapture() as capture:
                 partition = compile_graph(
-                    self._builder(self._compile_batch(bucket)),
+                    self._symbolic_graph(),
                     self._machine,
                     self._options,
                     num_threads=self._num_threads,
                 )
             with self._lock:
-                self._problems_by_sig[signature] = capture.problems
+                self._problems = capture.problems
                 # The first compile's output names are the session's
                 # client-visible contract; challengers built later are
                 # aliased back to them (auto tensor names embed a
                 # process-global counter and change across recompiles).
-                self._output_names_by_sig.setdefault(
-                    signature, list(partition.output_names)
-                )
+                if self._output_names is None:
+                    self._output_names = list(partition.output_names)
             return partition
 
-        partition = self._cache.get_or_compile(signature, _compile, label)
+        partition = self._cache.get_or_compile(signature, _compile, self._label)
         return partition, signature
 
     def tuning_problems(self, signature: str) -> list:
         """Tuning problems captured while compiling ``signature``
-        (empty for untuned or adaptive="off" compilations)."""
+        (empty for a foreign signature, or an untuned or adaptive="off"
+        compilation)."""
         with self._lock:
-            return list(self._problems_by_sig.get(signature, ()))
-
-    def bucket_for_signature(self, signature: str) -> Optional[int]:
-        """The shape bucket a signature was compiled for, if known."""
-        with self._lock:
-            for bucket, sig in self._sig_by_bucket.items():
-                if sig == signature:
-                    return bucket
-        return None
+            if signature != self._signature:
+                return []
+            return list(self._problems)
 
     def _fresh_compiler_for(
         self, signature: str
     ) -> Optional[Callable[[], "CompiledPartition"]]:
-        """A zero-arg recompile hook for a signature's bucket, bypassing
+        """A zero-arg recompile hook for the session's signature, bypassing
         the partition cache — how the adaptive layer builds challengers.
         The recompile consults the (by then updated) tuning cache, and
         because the graph signature does not fold tuning-cache *contents*,
         the challenger lands under the same signature as the incumbent.
         """
-        bucket = self.bucket_for_signature(signature)
-        if bucket is None:
+        if signature != self._signature:
             return None
 
         def _compile_fresh():
             from ..adaptive import OutputAliasPartition
 
             partition = compile_graph(
-                self._builder(self._compile_batch(bucket)),
+                self._symbolic_graph(),
                 self._machine,
                 self._options,
                 num_threads=self._num_threads,
             )
             with self._lock:
-                names = self._output_names_by_sig.get(signature)
+                names = self._output_names
             if names and names != partition.output_names:
                 return OutputAliasPartition(partition, names)
             return partition
 
         return _compile_fresh
-
-    @staticmethod
-    def _pad(
-        array: np.ndarray, axes: _BatchAxes, batch: int, bucket: int
-    ) -> np.ndarray:
-        for axis, mult in axes:
-            if array.shape[axis] != batch * mult:
-                raise ValueError(
-                    f"batch axis {axis} has extent {array.shape[axis]}, "
-                    f"expected {batch * mult}"
-                )
-        scaled = dict(axes)
-        pad_width = [
-            (0, (bucket - batch) * scaled[axis]) if axis in scaled else (0, 0)
-            for axis in range(array.ndim)
-        ]
-        return np.pad(array, pad_width, mode="constant")
-
-    @staticmethod
-    def _slice(
-        array: np.ndarray, axes: _BatchAxes, batch: int
-    ) -> np.ndarray:
-        index = [slice(None)] * array.ndim
-        for axis, mult in axes:
-            index[axis] = slice(0, batch * mult)
-        return array[tuple(index)]
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -14,7 +14,7 @@ data-movement layer — at the process level:
 * Requests are routed by :func:`.graph_signature` over a
   :class:`ConsistentHashRing`, so **every partition compiles in exactly
   one worker** — no duplicated compilation, no cache churn, and a stable
-  home for each (model, bucket) even as the fleet changes.
+  home for each model even as the fleet changes.
 * Input and output tensors travel through per-worker
   :class:`~repro.service.shm.TensorRing` shared-memory slots: the front
   end packs a request into a leased slot, the worker maps zero-copy numpy
@@ -97,11 +97,10 @@ from ..observability.flight import dump_flight, get_flight_recorder
 from ..observability.metrics import set_registry
 from ..observability.tracer import SpanRecord, set_tracer
 from .batching import BatchingStats
-from .buckets import is_oversize, note_oversize_compile, resolve_bucket
 from .cache import PartitionCache
 from .session import (
+    ADAPTIVE_MODES,
     DYNAMIC_BATCH_HINT,
-    DYNAMIC_BATCH_MODES,
     InferenceSession,
     ModelProbe,
 )
@@ -207,8 +206,9 @@ class ModelSpec:
 
     Exactly one of ``workload`` (a named Table-1 workload, always
     picklable) or ``builder`` (a picklable ``batch -> Graph`` callable —
-    module-level functions qualify, closures do not under ``spawn``)
-    must be given.
+    module-level functions qualify, closures do not under ``spawn`` —
+    that accepts the symbolic ``dyn("B", hint)`` batch the workers
+    compile) must be given.
     """
 
     name: str
@@ -216,7 +216,6 @@ class ModelSpec:
     builder: Optional[Callable[[int], Graph]] = None
     dtype: DType = DType.f32
     weights: Mapping[str, np.ndarray] = field(default_factory=dict)
-    batch_buckets: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if (self.workload is None) == (self.builder is None):
@@ -224,11 +223,6 @@ class ModelSpec:
                 f"model {self.name!r}: give exactly one of workload= "
                 "or builder="
             )
-        if self.batch_buckets is not None:
-            buckets = tuple(sorted(set(int(b) for b in self.batch_buckets)))
-            if not buckets or buckets[0] <= 0:
-                raise ValueError("batch_buckets must be positive integers")
-            object.__setattr__(self, "batch_buckets", buckets)
 
     def resolve_builder(self) -> Callable[[int], Graph]:
         if self.builder is not None:
@@ -247,9 +241,6 @@ class ModelSpec:
             return lambda batch: build_mha_graph(name, batch, self.dtype)
         known = sorted(MLP_CONFIGS) + sorted(MHA_CONFIGS)
         raise ValueError(f"unknown workload {self.workload!r}; known: {known}")
-
-    def bucket_for(self, batch: int) -> int:
-        return resolve_bucket(self.batch_buckets, batch)
 
 
 @dataclass(frozen=True)
@@ -270,9 +261,6 @@ class _WorkerConfig:
     adaptive: str = "off"
     #: Knobs for the per-worker adaptive loop (None = defaults).
     adaptive_config: Optional[object] = None
-    #: Shape-polymorphic serving ("off"/"on"); worker sessions compile
-    #: one symbolic-batch partition per model and ignore spec buckets.
-    dynamic_batch: str = "off"
 
 
 def _portable_exception(exc: BaseException) -> BaseException:
@@ -343,17 +331,12 @@ def _worker_main(
             with tracer.span(
                 "shard.worker.session", category="service", model=model
             ):
-                dynamic = config.dynamic_batch == "on"
                 session = InferenceSession(
                     spec.resolve_builder(),
                     weights=dict(spec.weights),
                     machine=config.machine,
                     options=options,
                     cache=cache,
-                    # Dynamic serving has no buckets to round up to; the
-                    # session rejects the combination outright.
-                    batch_buckets=None if dynamic else spec.batch_buckets,
-                    dynamic_batch=config.dynamic_batch,
                     num_threads=config.num_threads,
                     batching=config.batching,
                     max_batch=config.max_batch,
@@ -445,15 +428,12 @@ def _worker_main(
         elif kind == "warm":
             warmed = 0
             error: Optional[BaseException] = None
-            for model, bucket in message[1]:
+            for model in message[1]:
                 try:
                     with tracer.span(
-                        "shard.worker.warm",
-                        category="service",
-                        model=model,
-                        bucket=bucket,
+                        "shard.worker.warm", category="service", model=model
                     ):
-                        session_for(model).warm(bucket)
+                        session_for(model).warm()
                     warmed += 1
                 except BaseException as exc:
                     error = _portable_exception(exc)
@@ -771,9 +751,9 @@ class ShardedSession:
             shared-memory ring has this many slots, and leasing blocks
             (backpressure) when they are all in flight.
         slot_bytes: Payload capacity per slot.  Defaults to the largest
-            request/response the declared models can produce at their
-            largest bucket, with headroom; raise it to serve batches
-            beyond the largest bucket.
+            request/response the declared models can produce at
+            ``DYNAMIC_BATCH_HINT`` rows, with headroom; raise it to serve
+            larger batches.
         slot_timeout: Seconds a submitter waits for a free slot before
             :class:`~repro.errors.TransportError` (None blocks forever).
         heartbeat_interval: Seconds between worker liveness checks.
@@ -783,9 +763,9 @@ class ShardedSession:
             ring instead: its pending requests fail with
             :class:`~repro.errors.WorkerCrashError` and its signatures
             re-route to the survivors.
-        warmup: ``True`` pre-compiles every (model, bucket) pair before
-            the constructor returns; a sequence of ``(model, bucket)``
-            pairs warms exactly those.
+        warmup: ``True`` pre-compiles every model's partition before the
+            constructor returns; a sequence of model names warms exactly
+            those.
         mp_context: ``"fork"``/``"spawn"``/``"forkserver"`` or a
             ready-made multiprocessing context (default: ``fork`` where
             available — worker boot in milliseconds — else ``spawn``).
@@ -798,13 +778,10 @@ class ShardedSession:
             resumes from its predecessor's learning.  Default ``"off"``.
         adaptive_config: :class:`~repro.adaptive.AdaptiveConfig` knobs
             forwarded to every worker's loop.
-        dynamic_batch: ``"on"`` serves every model through one
-            shape-polymorphic partition per worker (see
-            :class:`.InferenceSession`): requests route by model alone
-            (one signature per model, so one home worker), execute at
-            their exact batch size, and ``ModelSpec.batch_buckets`` is
-            ignored — no round-up, no padding, one compile per
-            (model, worker).  Default ``"off"``.
+
+    Every model is served through one shape-polymorphic partition (see
+    :class:`.InferenceSession`), so a model has one signature and hence
+    one home worker; requests execute at their exact batch size.
     """
 
     def __init__(
@@ -829,7 +806,6 @@ class ShardedSession:
         replicas: int = 64,
         adaptive: str = "off",
         adaptive_config=None,
-        dynamic_batch: str = "off",
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -851,20 +827,12 @@ class ShardedSession:
         self._machine = machine
         self._options = options or CompilerOptions()
         self._num_threads = num_threads
-        from .session import ADAPTIVE_MODES
-
         if adaptive not in ADAPTIVE_MODES:
             raise ValueError(
                 f"unknown adaptive mode {adaptive!r}; "
                 f"expected one of {ADAPTIVE_MODES}"
             )
         self._adaptive = adaptive
-        if dynamic_batch not in DYNAMIC_BATCH_MODES:
-            raise ValueError(
-                f"unknown dynamic_batch mode {dynamic_batch!r}; "
-                f"expected one of {DYNAMIC_BATCH_MODES}"
-            )
-        self._dynamic = dynamic_batch == "on"
         self._config = _WorkerConfig(
             models=dict(self._models),
             machine=machine,
@@ -877,7 +845,6 @@ class ShardedSession:
             trace_enabled=get_tracer().enabled,
             adaptive=adaptive,
             adaptive_config=adaptive_config,
-            dynamic_batch=dynamic_batch,
         )
         self._probes: Dict[str, ModelProbe] = {
             name: ModelProbe(spec.resolve_builder())
@@ -907,7 +874,7 @@ class ShardedSession:
         self._requests = 0
         self._count_lock = threading.Lock()
         self._sig_lock = threading.Lock()
-        self._signatures: Dict[Tuple[str, int], str] = {}
+        self._signatures: Dict[str, str] = {}
         self._owner_by_sig: Dict[str, str] = {}
         self._owned_count: Dict[str, int] = {}
         self._lifecycle_lock = threading.RLock()
@@ -938,7 +905,6 @@ class ShardedSession:
         workload: str,
         dtype: DType = DType.f32,
         weights: Optional[Mapping[str, np.ndarray]] = None,
-        batch_buckets: Optional[Sequence[int]] = None,
         **kwargs,
     ) -> "ShardedSession":
         """Sharded session over one named Table-1 workload."""
@@ -947,9 +913,6 @@ class ShardedSession:
             workload=workload,
             dtype=dtype,
             weights=dict(weights or {}),
-            batch_buckets=(
-                tuple(batch_buckets) if batch_buckets is not None else None
-            ),
         )
         return cls([spec], **kwargs)
 
@@ -959,7 +922,6 @@ class ShardedSession:
         workloads: Sequence[str],
         dtype: DType = DType.f32,
         weights: Optional[Mapping[str, Mapping[str, np.ndarray]]] = None,
-        batch_buckets: Optional[Sequence[int]] = None,
         **kwargs,
     ) -> "ShardedSession":
         """Sharded session over several named workloads at once."""
@@ -970,23 +932,16 @@ class ShardedSession:
                 workload=name,
                 dtype=dtype,
                 weights=dict(weights.get(name.upper(), {})),
-                batch_buckets=(
-                    tuple(batch_buckets)
-                    if batch_buckets is not None
-                    else None
-                ),
             )
             for name in workloads
         ]
         return cls(specs, **kwargs)
 
     def _default_slot_bytes(self) -> int:
-        """Largest request/response footprint over declared buckets."""
+        """Largest request/response footprint at the batch hint."""
         need = 4096
         for name, spec in self._models.items():
-            builder = spec.resolve_builder()
-            buckets = spec.batch_buckets or (32,)
-            graph = builder(max(buckets))
+            graph = spec.resolve_builder()(DYNAMIC_BATCH_HINT)
             weight_names = set(self._probes[name].weight_names)
             inputs = {
                 t.name: np.empty(t.shape, dtype=t.dtype.to_numpy())
@@ -1242,42 +1197,27 @@ class ShardedSession:
     def models(self) -> List[str]:
         return sorted(self._models)
 
-    def signature_for(self, model: str, bucket: int) -> str:
-        """The compile signature of (model, bucket) — the routing key.
-
-        Dynamic mode collapses the bucket axis: every batch of a model
-        shares the one shape-polymorphic signature (keyed under the
-        sentinel bucket 0), so the model has a single home worker.
-        """
-        key = (model, 0) if self._dynamic else (model, bucket)
+    def signature_for(self, model: str) -> str:
+        """The compile signature of ``model``'s one shape-polymorphic
+        partition — the routing key.  Every batch of a model shares it,
+        so the model has a single home worker."""
         with self._sig_lock:
-            signature = self._signatures.get(key)
+            signature = self._signatures.get(model)
         if signature is None:
-            spec = self._models[model]
-            compile_batch = (
-                dyn("B", DYNAMIC_BATCH_HINT) if self._dynamic else bucket
-            )
             signature = graph_signature(
-                spec.resolve_builder()(compile_batch),
+                self._models[model].resolve_builder()(
+                    dyn("B", DYNAMIC_BATCH_HINT)
+                ),
                 self._machine,
                 self._options,
             )
             with self._sig_lock:
-                minted = key not in self._signatures
-                self._signatures.setdefault(key, signature)
-            if minted and is_oversize(spec.batch_buckets, bucket):
-                # Routing just minted an exact oversize specialization —
-                # the worker that owns it is about to compile it.
-                note_oversize_compile(model)
+                signature = self._signatures.setdefault(model, signature)
         return signature
 
-    def worker_for(self, model: str, batch: int) -> str:
-        """Which worker a request for (model, batch) routes to."""
-        bucket = (
-            batch if self._dynamic
-            else self._models[model].bucket_for(batch)
-        )
-        return self._assign_worker(self.signature_for(model, bucket))
+    def worker_for(self, model: str) -> str:
+        """Which worker requests for ``model`` route to."""
+        return self._assign_worker(self.signature_for(model))
 
     def _assign_worker(self, signature: str) -> str:
         """The signature's home worker (consistent hashing, bounded load).
@@ -1382,11 +1322,7 @@ class ShardedSession:
             if name not in inputs:
                 raise ValueError(f"missing input {name!r}")
             arrays[name] = np.asarray(inputs[name])
-        bucket = (
-            batch if self._dynamic
-            else self._models[model].bucket_for(batch)
-        )
-        signature = self.signature_for(model, bucket)
+        signature = self.signature_for(model)
         tracer = get_tracer()
         ctx = RequestContext.mint() if tracer.enabled else None
         pending = _PendingRequest(
@@ -1404,7 +1340,6 @@ class ShardedSession:
                 category="service",
                 model=model,
                 batch=batch,
-                bucket=bucket,
                 trace_id=ctx.trace_id,
             ) as span:
                 # The chain origin: this "s" is what every downstream
@@ -1435,43 +1370,28 @@ class ShardedSession:
 
     def warm_up(
         self,
-        pairs: Optional[Sequence[Tuple[str, int]]] = None,
+        models: Optional[Sequence[str]] = None,
         timeout: float = 300.0,
     ) -> int:
-        """Pre-compile a workload set before traffic; returns the count.
+        """Pre-compile models before traffic; returns how many warmed.
 
-        ``pairs`` is a sequence of (model, bucket); ``None`` warms every
-        declared model over all of its buckets.  Each pair is compiled in
-        the worker that owns its signature, so the fleet comes up with
-        the exact placement steady-state routing will use.
+        ``models`` names the models to warm; ``None`` warms every
+        declared model.  Each is compiled in the worker that owns its
+        signature, so the fleet comes up with the exact placement
+        steady-state routing will use.
         """
-        if pairs is None:
-            if self._dynamic:
-                # One dynamic partition per model: warming any batch
-                # warms it; use the compile hint as a representative.
-                pairs = [
-                    (name, DYNAMIC_BATCH_HINT)
-                    for name in sorted(self._models)
-                ]
-            else:
-                pairs = [
-                    (name, bucket)
-                    for name, spec in sorted(self._models.items())
-                    for bucket in (spec.batch_buckets or ())
-                ]
-        by_worker: Dict[str, List[Tuple[str, int]]] = {}
-        for model, bucket in pairs:
+        if models is None:
+            models = sorted(self._models)
+        by_worker: Dict[str, List[str]] = {}
+        for model in models:
             if model not in self._models:
                 raise ValueError(f"unknown model {model!r}")
-            worker_id = self.worker_for(model, int(bucket))
-            by_worker.setdefault(worker_id, []).append(
-                (model, int(bucket))
-            )
+            by_worker.setdefault(self.worker_for(model), []).append(model)
         warmed = 0
-        for worker_id, worker_pairs in sorted(by_worker.items()):
+        for worker_id, worker_models in sorted(by_worker.items()):
             worker = self._workers[worker_id]
             count, error = worker.request(
-                "warmed", ("warm", worker_pairs), timeout=timeout
+                "warmed", ("warm", worker_models), timeout=timeout
             )
             warmed += count
             if error is not None:
@@ -1491,10 +1411,6 @@ class ShardedSession:
     @property
     def adaptive(self) -> str:
         return self._adaptive
-
-    @property
-    def dynamic_batch(self) -> str:
-        return "on" if self._dynamic else "off"
 
     def adaptive_reports(
         self, timeout: float = 30.0

@@ -25,10 +25,6 @@ class SignatureStats:
     compile_seconds: float
     executes: int
     resident: bool
-    #: Batch units callers asked for vs what the bucket computed; the
-    #: difference is zero-padding the shape bucket silently burned.
-    rows_requested: int = 0
-    rows_computed: int = 0
     #: Exponentially-weighted moving average of per-execution latency
     #: (seconds), fed by ``PartitionCache.note_execute`` — the adaptive
     #: drift monitor compares it against the cost model's expectation.
@@ -76,22 +72,8 @@ class SignatureStats:
         value = self.latency_quantile_seconds(0.99)
         return value * 1e3 if value is not None else None
 
-    @property
-    def padded_rows(self) -> int:
-        return max(0, self.rows_computed - self.rows_requested)
-
-    @property
-    def utilization(self) -> float:
-        """Useful fraction of the rows this bucket computed (1.0 = no
-        padding waste; 0.0 when the signature never executed)."""
-        if not self.rows_computed:
-            return 0.0
-        return self.rows_requested / self.rows_computed
-
     def to_dict(self) -> Dict[str, Any]:
         result = asdict(self)
-        result["padded_rows"] = self.padded_rows
-        result["utilization"] = self.utilization
         result["latency_ewma_ms"] = self.latency_ewma_ms
         result["latency_hist"] = (
             self.latency_hist.to_dict()
@@ -129,28 +111,12 @@ class ServiceStats:
         total = self.requests
         return self.hits / total if total else 0.0
 
-    @property
-    def padded_rows(self) -> int:
-        """Total batch units computed only to fill shape buckets."""
-        return sum(sig.padded_rows for sig in self.signatures)
-
-    @property
-    def utilization(self) -> float:
-        """Useful fraction of all bucket rows ever computed."""
-        computed = sum(sig.rows_computed for sig in self.signatures)
-        if not computed:
-            return 0.0
-        requested = sum(sig.rows_requested for sig in self.signatures)
-        return requested / computed
-
     def to_dict(self) -> Dict[str, Any]:
         """Flat JSON-ready dump (derived rates included); exporters and
         benches consume this instead of hand-rolling field access."""
         result = asdict(self)
         result["requests"] = self.requests
         result["hit_rate"] = self.hit_rate
-        result["padded_rows"] = self.padded_rows
-        result["utilization"] = self.utilization
         result["signatures"] = [sig.to_dict() for sig in self.signatures]
         return result
 
@@ -213,10 +179,6 @@ class ServiceStats:
                     ),
                     executes=seen.executes + sig.executes,
                     resident=seen.resident or sig.resident,
-                    rows_requested=(
-                        seen.rows_requested + sig.rows_requested
-                    ),
-                    rows_computed=seen.rows_computed + sig.rows_computed,
                     latency_ewma_seconds=ewma,
                     latency_samples=samples,
                     swaps=seen.swaps + sig.swaps,
@@ -247,7 +209,7 @@ def format_stats(
 
     ``workers`` adds a per-worker breakdown under the fleet-wide table —
     the sharded tier passes its per-worker snapshots here so compile
-    placement and utilization per process are visible at a glance.
+    placement and load per process are visible at a glance.
     """
     lines: List[str] = []
     capacity = (
@@ -266,11 +228,6 @@ def format_stats(
     lines.append(
         f"  resident_bytes={stats.resident_bytes} capacity={capacity}"
     )
-    if stats.padded_rows or stats.utilization:
-        lines.append(
-            f"  padded_rows={stats.padded_rows} "
-            f"utilization={stats.utilization:.1%}"
-        )
     if stats.signatures:
         lines.append(
             format_table(
@@ -281,7 +238,6 @@ def format_stats(
                     "compiles",
                     "compile_s",
                     "executes",
-                    "util",
                     "ewma_ms",
                     "p95_ms",
                     "swaps",
@@ -295,7 +251,6 @@ def format_stats(
                         sig.compiles,
                         sig.compile_seconds,
                         sig.executes,
-                        f"{sig.utilization:.0%}" if sig.rows_computed else "-",
                         f"{sig.latency_ewma_ms:.2f}"
                         if sig.latency_samples
                         else "-",
@@ -320,7 +275,6 @@ def format_stats(
                     "compiles",
                     "partitions",
                     "bytes",
-                    "util",
                 ],
                 [
                     (
@@ -330,9 +284,6 @@ def format_stats(
                         ws.compiles,
                         sum(1 for s in ws.signatures if s.resident),
                         ws.resident_bytes,
-                        f"{ws.utilization:.0%}"
-                        if any(s.rows_computed for s in ws.signatures)
-                        else "-",
                     )
                     for worker, ws in sorted(workers.items())
                 ],

@@ -8,8 +8,10 @@ import pytest
 
 from repro import CompilerOptions, compile_graph
 from repro.adaptive import AdaptiveConfig
+from repro.graph_ir.symbolic import dyn
 from repro.microkernel.machine import XEON_8358
 from repro.service import InferenceSession, PartitionCache, graph_signature
+from repro.service.session import DYNAMIC_BATCH_HINT
 from repro.workloads import build_mlp_graph, make_mlp_inputs
 
 FAST_CONFIG = AdaptiveConfig(
@@ -29,7 +31,7 @@ def mlp_session(**kwargs):
     data = make_mlp_inputs("MLP_1", 32)
     weights = {k: v for k, v in data.items() if k.startswith("w")}
     session = InferenceSession.for_workload(
-        "MLP_1", weights=weights, batch_buckets=[32], **kwargs
+        "MLP_1", weights=weights, **kwargs
     )
     return session, {"x": data["x"]}
 
@@ -77,18 +79,21 @@ class TestWiring:
         cold_seconds = 0.3
         data = make_mlp_inputs("MLP_1", 32)
         weights = {k: v for k, v in data.items() if k.startswith("w")}
+        def symbolic_graph():
+            return build_mlp_graph("MLP_1", dyn("B", DYNAMIC_BATCH_HINT))
+
         signature = graph_signature(
-            build_mlp_graph("MLP_1", 32), XEON_8358, CompilerOptions()
+            symbolic_graph(), XEON_8358, CompilerOptions()
         )
         cache = PartitionCache()
         cache.get_or_compile(
             signature,
             lambda: ColdStartPartition(
-                compile_graph(build_mlp_graph("MLP_1", 32)), cold_seconds
+                compile_graph(symbolic_graph()), cold_seconds
             ),
         )
         session = InferenceSession.for_workload(
-            "MLP_1", weights=weights, batch_buckets=[32], cache=cache
+            "MLP_1", weights=weights, cache=cache
         )
         try:
             for _ in range(5):

@@ -3,8 +3,8 @@
 Deterministic queue mechanics (window shapes, drain vs cancel,
 backpressure) run against a stub session with a controllable execute;
 end-to-end correctness and the multi-threaded stress test run against a
-real MLP session, comparing to the unbatched path of the *same* shape
-bucket (the reference the engine must be bit-identical to).
+real MLP session, comparing to the unbatched path of the *same*
+partition (the reference the engine must be bit-identical to).
 """
 
 import threading
@@ -42,8 +42,7 @@ def mlp_weights(name="MLP_1", seed=0):
 class StubSession:
     """Minimal InferenceSession interface with a controllable execute."""
 
-    def __init__(self, buckets=(8,), block=None):
-        self.buckets = tuple(buckets)
+    def __init__(self, block=None):
         self.input_names = ["x"]
         self.input_batch_axes = {"x": [(0, 1)]}
         self.output_batch_axes = [[(0, 1)]]
@@ -52,22 +51,17 @@ class StubSession:
         self.calls = []
         self._lock = threading.Lock()
 
-    def bucket_for(self, batch):
-        for bucket in self.buckets:
-            if bucket >= batch:
-                return bucket
-        return batch
-
     def infer_batch(self, inputs):
         return int(np.asarray(inputs["x"]).shape[0])
 
-    def execute_bucket(self, inputs, batch, bucket):
+    def execute(self, inputs, batch):
         if self.block is not None:
             self.block.wait()
         with self._lock:
-            self.calls.append((batch, bucket))
+            self.calls.append(batch)
         x = np.asarray(inputs["x"])
-        return {"y": (x * 2.0)[:batch]}
+        assert x.shape[0] == batch  # executed exactly: nothing padded
+        return {"y": x * 2.0}
 
 
 def submit_rows(engine, batch, value=1.0):
@@ -77,12 +71,12 @@ def submit_rows(engine, batch, value=1.0):
 
 class TestCoalescing:
     def test_exact_fill_executes_once(self):
-        stub = StubSession(buckets=(8,))
+        stub = StubSession()
         engine = BatchingEngine(stub, max_batch=8, batch_timeout_us=200_000)
         futures = [submit_rows(engine, 2, float(i))[0] for i in range(4)]
         results = [f.result(timeout=10) for f in futures]
         engine.close()
-        assert stub.calls == [(8, 8)]  # one combined execution, no padding
+        assert stub.calls == [8]  # one combined execution, no padding
         for i, result in enumerate(results):
             np.testing.assert_array_equal(
                 result["y"], np.full((2, 1), 2.0 * i, np.float32)
@@ -94,45 +88,24 @@ class TestCoalescing:
         assert stats.padded_rows == 0
 
     def test_timeout_flushes_partial_window(self):
-        stub = StubSession(buckets=(8,))
+        stub = StubSession()
         engine = BatchingEngine(stub, max_batch=8, batch_timeout_us=5_000)
         future, _ = submit_rows(engine, 3)
         future.result(timeout=10)  # lands after the 5ms window expires
         engine.close()
-        assert stub.calls == [(3, 8)]
-        assert engine.stats().padded_rows == 5
+        assert stub.calls == [3]
+        assert engine.stats().padded_rows == 0
 
     def test_max_batch_bounds_window(self):
-        stub = StubSession(buckets=(8,))
+        stub = StubSession()
         engine = BatchingEngine(stub, max_batch=2, batch_timeout_us=200_000)
         futures = [submit_rows(engine, 1)[0] for _ in range(4)]
         for future in futures:
             future.result(timeout=10)
         engine.close()
-        assert sum(batch for batch, _ in stub.calls) == 4
-        assert all(batch <= 2 for batch, _ in stub.calls)
+        assert sum(stub.calls) == 4
+        assert all(batch <= 2 for batch in stub.calls)
         assert engine.stats().max_requests_per_batch <= 2
-
-    def test_oversized_head_ships_current_window(self):
-        stub = StubSession(buckets=(8,))
-        engine = BatchingEngine(stub, max_batch=8, batch_timeout_us=200_000)
-        first, _ = submit_rows(engine, 5)
-        second, _ = submit_rows(engine, 6)  # 5 + 6 > 8: must not merge
-        first.result(timeout=10)
-        second.result(timeout=10)
-        engine.close()
-        assert stub.calls == [(5, 8), (6, 8)]
-
-    def test_exact_specialization_dispatches_solo(self):
-        # Batches beyond the largest bucket never coalesce: combining
-        # them would mint new partition shapes per combination.
-        stub = StubSession(buckets=(8,))
-        engine = BatchingEngine(stub, max_batch=8, batch_timeout_us=200_000)
-        futures = [submit_rows(engine, 10)[0] for _ in range(3)]
-        for future in futures:
-            future.result(timeout=10)
-        engine.close()
-        assert stub.calls == [(10, 10)] * 3
 
 
 class TestValidation:
@@ -149,7 +122,7 @@ class TestValidation:
             BatchingEngine(stub)
 
     def test_bad_request_fails_alone(self):
-        stub = StubSession(buckets=(8,))
+        stub = StubSession()
         engine = BatchingEngine(stub, max_batch=8, batch_timeout_us=50_000)
         with pytest.raises(ValueError, match="missing input"):
             engine.submit({"not_x": np.zeros((2, 1), np.float32)}, batch=2)
@@ -175,7 +148,7 @@ class TestValidation:
 class TestLifecycle:
     def test_close_drains_queued_requests(self):
         gate = threading.Event()
-        stub = StubSession(buckets=(8,), block=gate)
+        stub = StubSession(block=gate)
         engine = BatchingEngine(stub, max_batch=1, batch_timeout_us=0)
         futures = [submit_rows(engine, 8)[0] for _ in range(5)]
 
@@ -193,7 +166,7 @@ class TestLifecycle:
 
     def test_close_cancel_settles_every_future(self):
         gate = threading.Event()
-        stub = StubSession(buckets=(8,), block=gate)
+        stub = StubSession(block=gate)
         engine = BatchingEngine(stub, max_batch=1, batch_timeout_us=0)
         futures = [submit_rows(engine, 8)[0] for _ in range(5)]
         # Let the dispatcher pick up the first window, then cancel.
@@ -236,7 +209,7 @@ class TestLifecycle:
 
     def test_caller_cancelled_future_is_skipped(self):
         gate = threading.Event()
-        stub = StubSession(buckets=(8,), block=gate)
+        stub = StubSession(block=gate)
         engine = BatchingEngine(stub, max_batch=1, batch_timeout_us=0)
         blocker, _ = submit_rows(engine, 8)  # occupies the dispatcher
         victim, _ = submit_rows(engine, 8)
@@ -255,7 +228,7 @@ class TestLifecycle:
 class TestBackpressure:
     def test_submit_blocks_at_queue_depth(self):
         gate = threading.Event()
-        stub = StubSession(buckets=(8,), block=gate)
+        stub = StubSession(block=gate)
         engine = BatchingEngine(
             stub, max_batch=1, batch_timeout_us=0, queue_depth=1
         )
@@ -287,11 +260,11 @@ class TestBackpressure:
 class TestErrorPropagation:
     def test_execution_error_fans_out_to_window(self):
         class FailingSession(StubSession):
-            def execute_bucket(self, inputs, batch, bucket):
+            def execute(self, inputs, batch):
                 raise RuntimeError("boom")
 
         engine = BatchingEngine(
-            FailingSession(buckets=(8,)), max_batch=8,
+            FailingSession(), max_batch=8,
             batch_timeout_us=100_000,
         )
         futures = [submit_rows(engine, 4)[0] for _ in range(2)]
@@ -307,12 +280,11 @@ class TestRealSession:
         weights = mlp_weights()
         cache = PartitionCache()
         reference = InferenceSession.for_workload(
-            "MLP_1", weights=weights, batch_buckets=[32], cache=cache
+            "MLP_1", weights=weights, cache=cache
         )
         session = InferenceSession.for_workload(
             "MLP_1",
             weights=weights,
-            batch_buckets=[32],
             cache=cache,
             batching="on",
             max_batch=8,
@@ -341,12 +313,11 @@ class TestRealSession:
         weights = mlp_weights()
         cache = PartitionCache()
         reference = InferenceSession.for_workload(
-            "MLP_1", weights=weights, batch_buckets=[32], cache=cache
+            "MLP_1", weights=weights, cache=cache
         )
         session = InferenceSession.for_workload(
             "MLP_1",
             weights=weights,
-            batch_buckets=[32],
             cache=cache,
             batching="on",
             max_batch=16,
@@ -409,14 +380,14 @@ class TestRealSession:
                 super().__init__(**kw)
                 self.bound = []
 
-            def execute_bucket(self, inputs, batch, bucket):
+            def execute(self, inputs, batch):
                 self.bound.append(active_contexts())
-                return super().execute_bucket(inputs, batch, bucket)
+                return super().execute(inputs, batch)
 
         original = get_tracer()
         tracer = set_tracer(Tracer(enabled=True))
         try:
-            spy = ContextSpy(buckets=(8,))
+            spy = ContextSpy()
             engine = BatchingEngine(
                 spy, max_batch=8, batch_timeout_us=200_000
             )
@@ -448,14 +419,14 @@ class TestRealSession:
                 super().__init__(**kw)
                 self.bound = []
 
-            def execute_bucket(self, inputs, batch, bucket):
+            def execute(self, inputs, batch):
                 self.bound.append(active_contexts())
-                return super().execute_bucket(inputs, batch, bucket)
+                return super().execute(inputs, batch)
 
         original = get_tracer()
         tracer = set_tracer(Tracer(enabled=False))
         try:
-            spy = ContextSpy(buckets=(8,))
+            spy = ContextSpy()
             engine = BatchingEngine(
                 spy, max_batch=8, batch_timeout_us=5_000
             )
@@ -476,7 +447,7 @@ class TestRealSession:
         set_tracer(Tracer(enabled=False))
         gate = threading.Event()
         try:
-            stub = StubSession(buckets=(8,), block=gate)
+            stub = StubSession(block=gate)
             engine = BatchingEngine(
                 stub, max_batch=8, batch_timeout_us=0, queue_depth=None
             )
@@ -505,7 +476,6 @@ class TestRealSession:
             session = InferenceSession.for_workload(
                 "MLP_1",
                 weights=weights,
-                batch_buckets=[32],
                 batching="on",
                 max_batch=8,
                 batch_timeout_us=10_000,
@@ -528,21 +498,18 @@ class TestRealSession:
             assert (
                 snapshot["service.batch.queue_wait_seconds"]["count"] == 4
             )
-            assert "service.padding_rows" in snapshot
+            assert snapshot["service.batch.rows"]["count"] >= 1
         finally:
             set_registry(MetricsRegistry())
             set_tracer(Tracer(enabled=False))
 
 
 class TestDynamicBatchMode:
-    """dynamic_batch sessions: one queue, no row bound, zero padding."""
+    """One queue, no row bound, zero padding."""
 
     def test_stub_dynamic_coalesces_without_row_bound(self):
-        stub = StubSession(buckets=())
-        stub.buckets = None
-        stub.dynamic_batch = "on"
         block = threading.Event()
-        stub.block = block
+        stub = StubSession(block=block)
         engine = BatchingEngine(
             stub, max_batch=4, batch_timeout_us=50_000
         )
@@ -551,24 +518,20 @@ class TestDynamicBatchMode:
             block.set()
             for future, batch in zip(futures, (5, 7, 9)):
                 assert future.result(timeout=30)["y"].shape[0] == batch
-            # 21 combined rows would overflow any static bucket; the
-            # dynamic queue shipped them in at most two exact windows.
+            # 21 combined rows, no row bound: at most two exact windows
+            # (the stub asserts each executes unpadded).
             assert len(stub.calls) <= 2
-            for batch, bucket in stub.calls:
-                assert bucket == batch  # exact execution, no padding
+            assert sum(stub.calls) == 21
         finally:
             stub.block = None
             engine.close()
 
     def test_real_dynamic_session_unpadded_and_identical(self):
         weights = mlp_weights()
-        reference = InferenceSession.for_workload(
-            "MLP_1", weights=weights, dynamic_batch="on"
-        )
+        reference = InferenceSession.for_workload("MLP_1", weights=weights)
         with InferenceSession.for_workload(
             "MLP_1",
             weights=weights,
-            dynamic_batch="on",
             batching="on",
             max_batch=8,
             batch_timeout_us=5_000,

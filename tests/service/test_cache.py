@@ -267,29 +267,6 @@ class TestEvictionClosesPartitions:
         assert next(iter(out.values())).shape == (8, 16)
 
 
-class TestUtilizationAccounting:
-    def test_note_execute_rows_roll_up(self):
-        from repro.service import format_stats
-
-        cache = PartitionCache()
-        g = tiny_graph()
-        sig = graph_signature(g)
-        cache.get_or_compile(sig, lambda: compile_graph(g))
-        cache.note_execute(sig, rows_requested=20, rows_computed=32)
-        cache.note_execute(sig, rows_requested=32, rows_computed=32)
-        record = {s.signature: s for s in cache.stats().signatures}[sig]
-        assert record.rows_requested == 52
-        assert record.rows_computed == 64
-        assert record.padded_rows == 12
-        assert record.utilization == pytest.approx(52 / 64)
-        stats = cache.stats()
-        assert stats.padded_rows == 12
-        assert stats.utilization == pytest.approx(52 / 64)
-        text = format_stats(stats)
-        assert "padded_rows=12" in text
-        assert "util" in text
-
-
 class TestAdaptiveSurface:
     """peek / swap / pin: the adaptive retuner's cache API."""
 

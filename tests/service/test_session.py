@@ -1,4 +1,5 @@
-"""InferenceSession: bucketing, padding, numerical identity, threading."""
+"""InferenceSession: one shape-polymorphic partition, numerical identity,
+threading, lifecycle."""
 
 import threading
 
@@ -11,13 +12,17 @@ from repro import (
     compile_counter,
     compile_graph,
 )
+from repro.graph_ir.reference import evaluate_graph
+from repro.runtime.partition import CompiledPartition
 from repro.service import InferenceSession, PartitionCache
+from repro.service.session import DYNAMIC_BATCH_HINT
 from repro.workloads import (
     build_mha_graph,
     build_mlp_graph,
     make_mha_inputs,
     make_mlp_inputs,
 )
+from tests.runtime.test_dynamic import pad_to_hint
 
 
 def mlp_weights(name="MLP_1", seed=0):
@@ -31,47 +36,44 @@ def mlp_session(weights, **kwargs):
     )
 
 
+@pytest.fixture
+def executed_shapes(monkeypatch):
+    """Input shapes of every CompiledPartition.execute, in call order."""
+    shapes = []
+    original = CompiledPartition.execute
+
+    def spy(self, inputs, *args, **kwargs):
+        shapes.append({k: np.shape(v) for k, v in inputs.items()})
+        return original(self, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledPartition, "execute", spy)
+    return shapes
+
+
 class TestBucketing:
-    def test_bucket_for_rounds_up(self):
-        sess = mlp_session(mlp_weights(), batch_buckets=[32, 64, 128])
-        assert sess.bucket_for(1) == 32
-        assert sess.bucket_for(32) == 32
-        assert sess.bucket_for(33) == 64
-        assert sess.bucket_for(128) == 128
-        assert sess.bucket_for(200) == 200  # beyond largest: exact
+    """A session has no buckets: one partition, exact rows."""
 
-    def test_no_buckets_compiles_exact(self):
-        sess = mlp_session(mlp_weights(), batch_buckets=None)
-        assert sess.bucket_for(17) == 17
-
-    def test_three_buckets_three_compilations(self):
-        """ISSUE acceptance: 3 shape buckets -> exactly 3 compilations."""
-        weights = mlp_weights()
-        sess = mlp_session(weights, batch_buckets=[32, 64, 128])
-        rng = np.random.RandomState(0)
-        with compile_counter() as counter:
-            for batch in (8, 20, 32, 40, 64, 70, 100, 128, 16, 90):
-                out = sess.run(
-                    {"x": rng.randn(batch, 13).astype(np.float32)}
-                )
-                assert list(out.values())[0].shape[0] == batch
-        assert counter.count == 3
-        stats = sess.stats()
-        assert stats.compiles == 3
-        assert stats.misses == 3
-        assert stats.hits == 7
+    def test_no_buckets_compiles_exact(self, executed_shapes):
+        sess = mlp_session(mlp_weights())
+        x = np.random.RandomState(0).randn(17, 13).astype(np.float32)
+        out = sess.run({"x": x})
+        assert next(iter(out.values())).shape == (17, 128)
+        # The partition ran on the request's 17 rows: nothing padded.
+        assert [shapes["x"] for shapes in executed_shapes] == [(17, 13)]
+        sess.close()
 
     def test_introspection(self):
-        sess = mlp_session(mlp_weights(), batch_buckets=[32])
+        sess = mlp_session(mlp_weights())
         assert sess.input_names == ["x"]
         assert sess.weight_names == ["w0", "w1", "w2"]
-        assert sess.buckets == (32,)
+        assert sess.input_batch_axes == {"x": [(0, 1)]}
+        assert sess.output_batch_axes == [[(0, 1)]]
 
 
 class TestNumericalIdentity:
     def test_mlp_exact_bucket_matches_direct(self):
         weights = mlp_weights()
-        sess = mlp_session(weights, batch_buckets=[32])
+        sess = mlp_session(weights)
         rng = np.random.RandomState(1)
         x = rng.randn(32, 13).astype(np.float32)
         served = list(sess.run({"x": x}).values())[0]
@@ -84,7 +86,7 @@ class TestNumericalIdentity:
 
     def test_mlp_padded_bucket_matches_direct(self):
         weights = mlp_weights()
-        sess = mlp_session(weights, batch_buckets=[32])
+        sess = mlp_session(weights)
         rng = np.random.RandomState(2)
         x = rng.randn(20, 13).astype(np.float32)
         served = list(sess.run({"x": x}).values())[0]
@@ -100,7 +102,7 @@ class TestNumericalIdentity:
         inputs = make_mlp_inputs("MLP_1", 24, DType.s8)
         weights = {k: v for k, v in inputs.items() if k.startswith("w")}
         sess = InferenceSession.for_workload(
-            "MLP_1", dtype=DType.s8, weights=weights, batch_buckets=[32]
+            "MLP_1", dtype=DType.s8, weights=weights
         )
         served = list(sess.run({"x": inputs["x"]}).values())[0]
         direct = list(
@@ -111,8 +113,8 @@ class TestNumericalIdentity:
         np.testing.assert_array_equal(served, direct)
 
     def test_mha_exact_and_padded_match_direct(self):
-        sess = InferenceSession.for_workload("MHA_1", batch_buckets=[4])
-        for batch in (4, 2):  # exact bucket, then padded
+        sess = InferenceSession.for_workload("MHA_1")
+        for batch in (4, 2):
             inputs = make_mha_inputs("MHA_1", batch, seed=batch)
             served = list(sess.run(inputs).values())[0]
             direct = list(
@@ -128,9 +130,7 @@ class TestThreadedServing:
     def test_mixed_batches_from_many_threads(self):
         weights = mlp_weights()
         cache = PartitionCache()
-        sess = mlp_session(
-            weights, batch_buckets=[32, 64], cache=cache
-        )
+        sess = mlp_session(weights, cache=cache)
         batches = [8, 16, 32, 40, 48, 64, 24, 56]
         rng = np.random.RandomState(3)
         requests = [
@@ -139,7 +139,7 @@ class TestThreadedServing:
         # Reference results from an identical session served sequentially
         # (own cache, so the concurrent session still races compilation).
         # Compilation is deterministic, so bitwise equality is required.
-        reference = mlp_session(weights, batch_buckets=[32, 64])
+        reference = mlp_session(weights)
         expected = {}
         for batch, x in zip(batches, requests):
             expected[batch] = list(reference.run({"x": x}).values())[0]
@@ -168,9 +168,9 @@ class TestThreadedServing:
                 t.join()
 
         assert not errors
-        # Two buckets serve every request: at most 2 compilations even
-        # under concurrency (single-flight), regardless of arrival order.
-        assert counter.count <= 2
+        # One partition serves every request: one compilation even under
+        # concurrency (single-flight), regardless of arrival order.
+        assert counter.count == 1
         for i, batch in enumerate(batches):
             np.testing.assert_array_equal(results[i], expected[batch])
         assert sess.stats().hit_rate > 0
@@ -180,8 +180,8 @@ class TestSharedCache:
     def test_sessions_share_compilations_via_cache(self):
         weights = mlp_weights()
         cache = PartitionCache()
-        a = mlp_session(weights, batch_buckets=[32], cache=cache)
-        b = mlp_session(weights, batch_buckets=[32], cache=cache)
+        a = mlp_session(weights, cache=cache)
+        b = mlp_session(weights, cache=cache)
         rng = np.random.RandomState(4)
         x = rng.randn(32, 13).astype(np.float32)
         with compile_counter() as counter:
@@ -193,10 +193,9 @@ class TestSharedCache:
     def test_options_split_cache_entries(self):
         weights = mlp_weights()
         cache = PartitionCache()
-        full = mlp_session(weights, batch_buckets=[32], cache=cache)
+        full = mlp_session(weights, cache=cache)
         ablated = mlp_session(
             weights,
-            batch_buckets=[32],
             cache=cache,
             options=CompilerOptions.no_coarse_fusion(),
         )
@@ -210,7 +209,7 @@ class TestSharedCache:
 
 class TestValidation:
     def test_missing_batch_input(self):
-        sess = mlp_session(mlp_weights(), batch_buckets=[32])
+        sess = mlp_session(mlp_weights())
         with pytest.raises(ValueError, match="missing input"):
             sess.run({"not_x": np.zeros((4, 13), np.float32)})
 
@@ -236,7 +235,7 @@ class TestSessionLifecycle:
     """ISSUE satellite: sessions own a close() that releases partitions."""
 
     def test_close_releases_owned_cache_partitions(self):
-        sess = mlp_session(mlp_weights(), batch_buckets=[32])
+        sess = mlp_session(mlp_weights())
         x = np.zeros((32, 13), np.float32)
         sess.run({"x": x})
         cache = sess.cache
@@ -255,9 +254,7 @@ class TestSessionLifecycle:
 
     def test_close_leaves_shared_cache_alone(self):
         cache = PartitionCache()
-        sess = mlp_session(
-            mlp_weights(), batch_buckets=[32], cache=cache
-        )
+        sess = mlp_session(mlp_weights(), cache=cache)
         sess.run({"x": np.zeros((32, 13), np.float32)})
         assert len(cache) == 1
         sess.close()
@@ -266,9 +263,7 @@ class TestSessionLifecycle:
         assert cache.resident_partitions()
 
     def test_run_and_submit_after_close_raise(self):
-        sess = mlp_session(
-            mlp_weights(), batch_buckets=[32], batching="on"
-        )
+        sess = mlp_session(mlp_weights(), batching="on")
         sess.close()
         with pytest.raises(RuntimeError, match="closed"):
             sess.run({"x": np.zeros((4, 13), np.float32)})
@@ -276,7 +271,7 @@ class TestSessionLifecycle:
             sess.submit({"x": np.zeros((4, 13), np.float32)})
 
     def test_context_manager_closes(self):
-        with mlp_session(mlp_weights(), batch_buckets=[32]) as sess:
+        with mlp_session(mlp_weights()) as sess:
             out = sess.run({"x": np.zeros((8, 13), np.float32)})
             assert next(iter(out.values())).shape == (8, 128)
         assert sess.closed
@@ -294,7 +289,6 @@ class TestCloseRace:
         for _ in range(3):  # repeat: the race window is narrow
             sess = mlp_session(
                 weights,
-                batch_buckets=[32],
                 batching="on",
                 batch_timeout_us=200,
             )
@@ -334,7 +328,7 @@ class TestCloseRace:
                     pass
 
     def test_concurrent_closes_are_idempotent(self):
-        sess = mlp_session(mlp_weights(), batch_buckets=[32])
+        sess = mlp_session(mlp_weights())
         sess.run({"x": np.zeros((8, 13), np.float32)})
         barrier = threading.Barrier(4)
         errors = []
@@ -361,7 +355,7 @@ class TestBatchingMode:
             mlp_session(mlp_weights(), batching="sometimes")
 
     def test_off_mode_has_no_engine(self):
-        sess = mlp_session(mlp_weights(), batch_buckets=[32])
+        sess = mlp_session(mlp_weights())
         assert sess.batching == "off"
         assert sess.engine is None
         with pytest.raises(RuntimeError, match="batching"):
@@ -371,12 +365,9 @@ class TestBatchingMode:
     def test_on_mode_serves_through_engine(self):
         weights = mlp_weights()
         cache = PartitionCache()
-        reference = mlp_session(
-            weights, batch_buckets=[32], cache=cache
-        )
+        reference = mlp_session(weights, cache=cache)
         with mlp_session(
             weights,
-            batch_buckets=[32],
             cache=cache,
             batching="on",
             max_batch=4,
@@ -393,8 +384,18 @@ class TestBatchingMode:
         assert sess.engine.closed
         reference.close()
 
+    def test_default_settings_coalesce_concurrent_submits(self):
+        with mlp_session(mlp_weights(), batching="on") as sess:
+            x = np.random.RandomState(8).randn(4, 13).astype(np.float32)
+            sess.run({"x": x})  # warm: compile + first execute
+            before = sess.engine.stats().batches
+            futures = [sess.submit({"x": x}) for _ in range(16)]
+            for future in futures:
+                assert next(iter(future.result(30).values())).shape == (4, 128)
+            assert sess.engine.stats().batches - before < 16
 
-#: Dynamic-batch cases beyond MLP_1 f32: (workload, dtype, batches).
+
+#: Cases beyond MLP_1 f32: (workload, dtype, batches).
 #: MHA_1 s8 is left to the tests/runtime/test_dynamic.py matrix.
 DYNAMIC_CASES = (
     ("MLP_1", DType.s8, (1, 3, 17, 32)),
@@ -402,14 +403,20 @@ DYNAMIC_CASES = (
 )
 
 
+def workload_weights(workload, dtype):
+    """Runtime weights of ``workload``, fixed at batch 32 (none for MHA)."""
+    if workload.startswith("MHA"):
+        return {}
+    inputs = make_mlp_inputs(workload, 32, dtype)
+    return {k: v for k, v in inputs.items() if k.startswith("w")}
+
+
 def workload_session(workload, dtype, **kwargs):
-    """A session over ``workload`` with weights fixed at batch 32."""
-    weights = None
-    if workload.startswith("MLP"):
-        inputs = make_mlp_inputs(workload, 32, dtype)
-        weights = {k: v for k, v in inputs.items() if k.startswith("w")}
     return InferenceSession.for_workload(
-        workload, dtype=dtype, weights=weights, **kwargs
+        workload,
+        dtype=dtype,
+        weights=workload_weights(workload, dtype),
+        **kwargs,
     )
 
 
@@ -419,18 +426,24 @@ def workload_activations(workload, dtype, batch, seed):
     return {"x": make_mlp_inputs(workload, batch, dtype, seed=seed)["x"]}
 
 
+def padded_static_reference(workload, dtype, feed, batch):
+    """The static hint-sized program on zero-padded inputs, cropped back
+    to ``batch`` — what the shape-polymorphic partition must equal."""
+    build = build_mha_graph if workload.startswith("MHA") else build_mlp_graph
+    hint = DYNAMIC_BATCH_HINT
+    weights = workload_weights(workload, dtype)
+    base = {**workload_activations(workload, dtype, hint, 0), **weights}
+    _, static_feed = pad_to_hint({**feed, **weights}, base, batch, hint)
+    outputs = compile_graph(build(workload, hint, dtype)).execute(static_feed)
+    return [array[:batch] for array in outputs.values()]
+
+
 class TestDynamicBatch:
-    """dynamic_batch='on': one shape-polymorphic partition, zero padding."""
+    """One shape-polymorphic partition, zero padding."""
 
-    def test_one_compile_serves_every_batch_unpadded(self):
-        from repro.observability import get_registry
-
-        registry = get_registry()
-        padded_before = registry.value("service.padding_rows") or 0
+    def test_one_compile_serves_every_batch_unpadded(self, executed_shapes):
         weights = mlp_weights()
-        sess = mlp_session(weights, dynamic_batch="on")
-        assert sess.dynamic_batch == "on"
-        assert sess.buckets is None
+        sess = mlp_session(weights)
         rng = np.random.RandomState(3)
         with compile_counter() as counter:
             for batch in (1, 3, 8, 17, 32):
@@ -440,55 +453,42 @@ class TestDynamicBatch:
                 assert next(iter(out.values())).shape[0] == batch
         assert counter.count == 1
         assert sess.stats().compiles == 1
+        assert [shapes["x"][0] for shapes in executed_shapes] == [
+            1, 3, 8, 17, 32
+        ]
         sess.close()
         for workload, dtype, batches in DYNAMIC_CASES:
-            sess = workload_session(workload, dtype, dynamic_batch="on")
+            sess = workload_session(workload, dtype)
+            executed_shapes.clear()
             with compile_counter() as counter:
                 for batch in batches:
                     feed = workload_activations(workload, dtype, batch, batch)
                     out = sess.run(feed)
                     assert next(iter(out.values())).shape[0] == batch
+                    # Executed on the request's own shapes: no padding.
+                    assert {
+                        name: executed_shapes[-1][name] for name in feed
+                    } == {name: array.shape for name, array in feed.items()}
             assert counter.count == 1, (workload, dtype)
             assert sess.stats().compiles == 1
             sess.close()
-        padded_after = registry.value("service.padding_rows") or 0
-        assert padded_after == padded_before
 
     def test_bit_identical_to_static_bucket_path(self):
-        weights = mlp_weights()
-        dynamic = mlp_session(weights, dynamic_batch="on")
-        bucketed = mlp_session(weights, batch_buckets=[32])
-        rng = np.random.RandomState(4)
-        for batch in (1, 3, 8, 17, 32):
-            x = rng.randn(batch, 13).astype(np.float32)
-            got = next(iter(dynamic.run({"x": x}).values()))
-            want = next(iter(bucketed.run({"x": x}).values()))
-            np.testing.assert_array_equal(got, want)
-        dynamic.close()
-        bucketed.close()
-        for workload, dtype, batches in DYNAMIC_CASES:
-            dynamic = workload_session(workload, dtype, dynamic_batch="on")
-            bucketed = workload_session(workload, dtype, batch_buckets=[32])
+        cases = (("MLP_1", DType.f32, (1, 3, 8, 17, 32)),) + DYNAMIC_CASES
+        for workload, dtype, batches in cases:
+            sess = workload_session(workload, dtype)
             for batch in batches:
                 feed = workload_activations(workload, dtype, batch, batch)
-                got = next(iter(dynamic.run(feed).values()))
-                want = next(iter(bucketed.run(feed).values()))
-                np.testing.assert_array_equal(got, want)
-            dynamic.close()
-            bucketed.close()
-
-    def test_dynamic_rejects_buckets_and_bad_mode(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            mlp_session(
-                mlp_weights(), dynamic_batch="on", batch_buckets=[32]
-            )
-        with pytest.raises(ValueError, match="dynamic_batch"):
-            mlp_session(mlp_weights(), dynamic_batch="sometimes")
+                got = list(sess.run(feed).values())
+                want = padded_static_reference(workload, dtype, feed, batch)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+            sess.close()
 
     def test_warm_compiles_the_one_partition(self):
-        sess = mlp_session(mlp_weights(), dynamic_batch="on")
+        sess = mlp_session(mlp_weights())
         with compile_counter() as counter:
-            sess.warm(8)
+            sess.warm()
         assert counter.count == 1
         with compile_counter() as counter:
             sess.run({"x": np.zeros((17, 13), np.float32)})
@@ -496,20 +496,26 @@ class TestDynamicBatch:
         sess.close()
 
 
-class TestOversizeAccounting:
-    def test_oversize_compile_counted_once_per_bucket(self):
-        from repro.observability import get_registry
-
-        registry = get_registry()
-        before = registry.value("service.oversize_compiles") or 0
-        sess = mlp_session(mlp_weights(), batch_buckets=[8, 16])
+class TestOneCompile:
+    def test_distinct_batches_share_one_compile_and_match_reference(self):
+        weights = mlp_weights()
+        sess = mlp_session(weights)
         rng = np.random.RandomState(5)
-        for batch in (4, 16):  # in-bucket: no oversize marks
-            sess.run({"x": rng.randn(batch, 13).astype(np.float32)})
-        assert (registry.value("service.oversize_compiles") or 0) == before
-        for _ in range(2):  # same oversize bucket counts once
-            sess.run({"x": rng.randn(24, 13).astype(np.float32)})
-        assert (registry.value("service.oversize_compiles") or 0) == before + 1
-        sess.run({"x": rng.randn(40, 13).astype(np.float32)})
-        assert (registry.value("service.oversize_compiles") or 0) == before + 2
+        batches = list(range(1, 41, 3)) + [33, 47, 50, 64, 71, 96]
+        assert len(set(batches)) == 20
+        assert max(batches) > DYNAMIC_BATCH_HINT
+        with compile_counter() as counter:
+            for batch in batches:
+                x = rng.randn(batch, 13).astype(np.float32)
+                got = list(sess.run({"x": x}).values())
+                want = list(
+                    evaluate_graph(
+                        build_mlp_graph("MLP_1", batch), {"x": x, **weights}
+                    ).values()
+                )
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    np.testing.assert_allclose(g, w, rtol=1e-5, atol=1e-5)
+        assert counter.count == 1
+        assert sess.stats().compiles == 1
         sess.close()

@@ -1,8 +1,8 @@
 """ShardedSession: routing, identity, lifecycle, crash recovery.
 
 The fleet must serve bit-identically to a single-process
-InferenceSession over the same buckets, keep each partition signature in
-exactly one worker, survive a SIGKILLed worker with zero failed
+InferenceSession, keep each model's one partition signature in exactly
+one worker, survive a SIGKILLed worker with zero failed
 requests, and never leak a worker process or shared-memory segment.
 """
 
@@ -42,13 +42,8 @@ def mlp_weights(name="MLP_1", seed=0):
     return {k: v for k, v in inputs.items() if k.startswith("w")}
 
 
-def make_spec(name="MLP_1", buckets=(4, 8)):
-    return ModelSpec(
-        name=name,
-        workload=name,
-        weights=mlp_weights(name),
-        batch_buckets=buckets,
-    )
+def make_spec(name="MLP_1"):
+    return ModelSpec(name=name, workload=name, weights=mlp_weights(name))
 
 
 def outputs_equal(a, b):
@@ -107,17 +102,16 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="unknown workload"):
             spec.resolve_builder()
 
-    def test_bucket_for(self):
-        spec = ModelSpec(name="m", workload="MLP_1", batch_buckets=(4, 8))
-        assert spec.bucket_for(1) == 4
-        assert spec.bucket_for(4) == 4
-        assert spec.bucket_for(5) == 8
-        assert spec.bucket_for(9) == 9  # beyond largest: exact
-
 
 @pytest.fixture(scope="module")
 def fleet():
-    session = ShardedSession([make_spec()], num_workers=2)
+    # Slots sized for 64-row MLP_1 requests: the default covers
+    # DYNAMIC_BATCH_HINT rows, and the tests send batches above it.
+    session = ShardedSession(
+        [make_spec("MLP_1"), make_spec("MLP_2")],
+        num_workers=2,
+        slot_bytes=64 * 128 * 4 + 256,
+    )
     session.warm_up()
     yield session
     session.close()
@@ -125,9 +119,7 @@ def fleet():
 
 @pytest.fixture(scope="module")
 def reference():
-    session = InferenceSession.for_workload(
-        "MLP_1", weights=mlp_weights(), batch_buckets=(4, 8)
-    )
+    session = InferenceSession.for_workload("MLP_1", weights=mlp_weights())
     yield session
     session.close()
 
@@ -135,24 +127,33 @@ def reference():
 class TestServing:
     def test_bit_identical_to_single_session(self, fleet, reference):
         x = make_mlp_inputs("MLP_1", 8, seed=3)["x"]
-        assert outputs_equal(fleet.run({"x": x}), reference.run({"x": x}))
+        assert outputs_equal(
+            fleet.run({"x": x}, model="MLP_1"), reference.run({"x": x})
+        )
 
     def test_bucket_rounding_matches_single_session(self, fleet, reference):
-        x = make_mlp_inputs("MLP_1", 3, seed=4)["x"]
-        assert outputs_equal(fleet.run({"x": x}), reference.run({"x": x}))
+        # Batches below, at and above the compile hint all run exactly
+        # on the one partition.
+        for batch in (3, 8, 33):
+            x = make_mlp_inputs("MLP_1", batch, seed=4)["x"]
+            assert outputs_equal(
+                fleet.run({"x": x}, model="MLP_1"), reference.run({"x": x})
+            )
 
     def test_concurrent_submits_all_settle_identically(
         self, fleet, reference
     ):
         x = make_mlp_inputs("MLP_1", 8, seed=5)["x"]
         expected = reference.run({"x": x})
-        futures = [fleet.submit({"x": x}) for _ in range(24)]
+        futures = [fleet.submit({"x": x}, model="MLP_1") for _ in range(24)]
         for future in futures:
             assert outputs_equal(future.result(timeout=60), expected)
 
     def test_missing_input_rejected(self, fleet):
         with pytest.raises(ValueError, match="missing input"):
-            fleet.submit({"wrong": np.zeros((4, 13), np.float32)})
+            fleet.submit(
+                {"wrong": np.zeros((4, 13), np.float32)}, model="MLP_1"
+            )
 
     def test_unknown_model_rejected(self, fleet):
         x = np.zeros((4, 13), np.float32)
@@ -166,20 +167,20 @@ class TestServing:
             for sig in worker_stats.signatures:
                 if sig.compiles:
                     owners.setdefault(sig.signature, []).append(worker)
-        assert owners, "warm-up should have compiled the buckets"
+        assert owners, "warm-up should have compiled both models"
         for signature, workers in owners.items():
             assert len(workers) == 1, (
                 f"signature {signature[:12]} compiled in {workers}"
             )
-        # Both (model, bucket) pairs were compiled, each exactly once.
+        # One signature per model, each compiled exactly once.
         merged = {s.signature: s for s in stats.merged.signatures}
         assert len(merged) == 2
         assert all(s.compiles == 1 for s in merged.values())
 
     def test_routing_is_stable_and_spread(self, fleet):
-        first = fleet.worker_for("MLP_1", 8)
-        assert fleet.worker_for("MLP_1", 8) == first
-        homes = {fleet.worker_for("MLP_1", b) for b in (3, 8)}
+        first = fleet.worker_for("MLP_1")
+        assert fleet.worker_for("MLP_1") == first
+        homes = {fleet.worker_for(m) for m in ("MLP_1", "MLP_2")}
         # Bounded-load assignment spreads 2 signatures over 2 workers.
         assert len(homes) == 2
 
@@ -203,7 +204,7 @@ class TestServing:
 
 class TestMultiModel:
     def test_two_models_route_and_serve(self):
-        specs = [make_spec("MLP_1"), make_spec("MLP_2", buckets=(4,))]
+        specs = [make_spec("MLP_1"), make_spec("MLP_2")]
         with ShardedSession(specs, num_workers=2) as session:
             session.warm_up()
             x1 = make_mlp_inputs("MLP_1", 4, seed=6)["x"]
@@ -223,7 +224,6 @@ class TestMultiModel:
         session = ShardedSession.for_workloads(
             ["MLP_1", "MLP_2"],
             weights=weights,
-            batch_buckets=(4,),
             num_workers=2,
         )
         try:
@@ -286,6 +286,18 @@ class TestLifecycle:
             else:  # pragma: no cover - diagnostic
                 pytest.fail(f"worker pid {pid} still alive after close")
 
+    def test_default_warm_up_compiles_every_model(self):
+        session = ShardedSession(
+            [make_spec("MLP_1"), make_spec("MLP_2")], num_workers=2
+        )
+        try:
+            assert session.warm_up() == 2
+            stats = session.stats()
+            assert stats.requests == 0
+            assert stats.merged.compiles == 2
+        finally:
+            session.close()
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="num_workers"):
             ShardedSession([make_spec()], num_workers=0)
@@ -305,7 +317,7 @@ class TestTelemetry:
         try:
             # Workers inherit the tracer's enabled flag at spawn time.
             session = ShardedSession(
-                [make_spec(buckets=(8,))], num_workers=2
+                [make_spec()], num_workers=2
             )
             try:
                 session.warm_up()
@@ -336,7 +348,7 @@ class TestTelemetry:
 
     def test_metrics_text_merges_fleet(self, fleet):
         x = make_mlp_inputs("MLP_1", 8, seed=22)["x"]
-        fleet.run({"x": x})
+        fleet.run({"x": x}, model="MLP_1")
         text = fleet.metrics_text()
         assert validate_exposition_text(text) == []
         # Front-end counters and worker-side counters in one scrape.
@@ -348,14 +360,14 @@ class TestTelemetry:
         tmp = str(tmp_path)
         monkeypatch.setenv(FLIGHT_DIR_ENV, tmp)
         session = ShardedSession(
-            [make_spec(buckets=(8,))],
+            [make_spec()],
             num_workers=2,
             heartbeat_interval=0.1,
         )
         try:
             session.warm_up()
             x = make_mlp_inputs("MLP_1", 8, seed=23)["x"]
-            target = session.worker_for("MLP_1", 8)
+            target = session.worker_for("MLP_1")
             victim = session.workers()[target]
             # Run some load, then give the heartbeat a couple of cycles
             # to piggyback the victim's flight ring back to the parent.
@@ -395,14 +407,14 @@ class TestCrashRecovery:
     def test_killed_worker_restarts_with_zero_failed_requests(self):
         before = set(live_segments())
         session = ShardedSession(
-            [make_spec(buckets=(8,))],
+            [make_spec()],
             num_workers=2,
             heartbeat_interval=0.1,
         )
         try:
             session.warm_up()
             x = make_mlp_inputs("MLP_1", 8, seed=8)["x"]
-            target = session.worker_for("MLP_1", 8)
+            target = session.worker_for("MLP_1")
             victim = session.workers()[target]
             futures = [session.submit({"x": x}) for _ in range(10)]
             os.kill(victim.pid, signal.SIGKILL)
@@ -422,7 +434,7 @@ class TestCrashRecovery:
 
     def test_signature_recompiles_after_restart(self):
         session = ShardedSession(
-            [make_spec(buckets=(8,))],
+            [make_spec()],
             num_workers=1,
             heartbeat_interval=0.1,
         )
@@ -452,41 +464,23 @@ class TestCrashRecovery:
 
 
 class TestDynamicBatchFleet:
-    """dynamic_batch='on': one signature per model, exact execution."""
+    """One signature per model, exact execution."""
 
     def test_dynamic_fleet_round_trip(self):
         weights = mlp_weights()
-        reference = InferenceSession.for_workload(
-            "MLP_1", weights=weights, dynamic_batch="on"
-        )
+        reference = InferenceSession.for_workload("MLP_1", weights=weights)
         with ShardedSession(
             [ModelSpec(name="MLP_1", workload="MLP_1", weights=weights)],
             num_workers=2,
-            dynamic_batch="on",
             warmup=True,
         ) as session:
-            assert session.dynamic_batch == "on"
-            batches = (1, 3, 8, 17, 32)
-            # One signature -> every batch shares one home worker.
-            assert len({session.worker_for("MLP_1", b) for b in batches}) == 1
             rng = np.random.RandomState(13)
-            for batch in batches:
+            for batch in (1, 3, 8, 17, 32):
                 x = rng.randn(batch, 13).astype(np.float32)
                 got = next(iter(session.run({"x": x}).values()))
                 want = next(iter(reference.run({"x": x}).values()))
                 np.testing.assert_array_equal(got, want)
             stats = session.stats()
             assert stats.merged.compiles == 1
-            padded = sum(
-                b.padded_rows
-                for per_model in stats.batching.values()
-                for b in per_model.values()
-            )
-            assert padded == 0
+            assert len(stats.merged.signatures) == 1
         reference.close()
-
-    def test_dynamic_mode_validation(self):
-        with pytest.raises(ValueError, match="dynamic_batch"):
-            ShardedSession(
-                [make_spec()], num_workers=1, dynamic_batch="sometimes"
-            )

@@ -13,8 +13,6 @@ def sig(signature, **kw):
         compile_seconds=0.5,
         executes=2,
         resident=True,
-        rows_requested=10,
-        rows_computed=16,
     )
     defaults.update(kw)
     return SignatureStats(signature=signature, **defaults)
@@ -96,32 +94,12 @@ class TestMerge:
         assert merged_sig.executes == 10
         assert merged_sig.nbytes == 700
         assert merged_sig.compile_seconds == 1.0
-        assert merged_sig.rows_requested == 20
-        assert merged_sig.rows_computed == 32
 
     def test_merge_of_one_is_identity_on_counters(self):
         one = stats(signatures=(sig("aaa"),))
         merged = ServiceStats.merge([one])
         assert merged.requests == one.requests
         assert merged.signatures == one.signatures
-
-    def test_utilization_rolls_up_across_parts(self):
-        merged = ServiceStats.merge(
-            [
-                stats(
-                    signatures=(
-                        sig("a", rows_requested=8, rows_computed=8),
-                    )
-                ),
-                stats(
-                    signatures=(
-                        sig("b", rows_requested=4, rows_computed=8),
-                    )
-                ),
-            ]
-        )
-        assert merged.utilization == 12 / 16
-        assert merged.padded_rows == 4
 
 
 class TestLatencyPercentiles:

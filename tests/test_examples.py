@@ -44,7 +44,7 @@ class TestExamples:
         run_example("serving_mlp.py")
         out = capsys.readouterr().out
         assert "cache hit rate" in out
-        assert "per-bucket compile counts" in out
+        assert "per-signature compile counts" in out
         assert "ok" in out
 
     def test_serving_batched(self, capsys):

@@ -176,10 +176,7 @@ class TestMetricsExportTool:
 
         inputs = make_mlp_inputs("MLP_1", 8, seed=0)
         weights = {k: v for k, v in inputs.items() if k.startswith("w")}
-        spec = ModelSpec(
-            name="MLP_1", workload="MLP_1", weights=weights,
-            batch_buckets=(8,),
-        )
+        spec = ModelSpec(name="MLP_1", workload="MLP_1", weights=weights)
         trace_path = str(tmp_path / "trace.json")
         original = get_tracer()
         # Workers inherit the tracer's enabled flag at spawn time.
