@@ -23,11 +23,6 @@ Quickstart::
     })
 """
 
-from .adaptive import (
-    AdaptiveConfig,
-    AdaptiveManager,
-    SignatureState,
-)
 from .core.compiler import (
     add_compile_hook,
     compile_counter,
@@ -72,9 +67,6 @@ from .tuner import (
 __version__ = "1.3.0"
 
 __all__ = [
-    "AdaptiveConfig",
-    "AdaptiveManager",
-    "SignatureState",
     "compile_graph",
     "compile_counter",
     "add_compile_hook",

@@ -15,8 +15,8 @@ Four primitives and four exporters:
   and quantile-accurate histograms with labels, published by the same
   layers, mergeable across processes for fleet-wide aggregation;
 * :class:`~repro.observability.flight.FlightRecorder` — an always-on
-  bounded ring of recent spans dumped to disk on anomalies (worker death,
-  drift, quarantine) when ``REPRO_FLIGHT_DIR`` is set;
+  bounded ring of recent spans dumped to disk on anomalies (worker death)
+  when ``REPRO_FLIGHT_DIR`` is set;
 * :mod:`~repro.observability.export` — Chrome trace-event JSON (open in
   ``chrome://tracing`` or Perfetto) plus a flat metrics dump, with schema
   and flow-chain validators CI reuses;

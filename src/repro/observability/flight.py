@@ -1,8 +1,7 @@
 """The anomaly flight recorder: always-on bounded span history.
 
-Postmortems usually start *after* the anomaly: a worker died, adaptive
-declared drift, a challenger got quarantined — and tracing was off, so
-the evidence is gone.  The :class:`FlightRecorder` keeps a bounded ring
+Postmortems usually start *after* the anomaly: a worker died — and
+tracing was off, so the evidence is gone.  The :class:`FlightRecorder` keeps a bounded ring
 of coarse :class:`SpanRecord` entries per process (request handling,
 batch executions, lifecycle events — cheap enough to leave on), and
 :func:`dump_flight` writes the ring plus the tail of any live tracer
@@ -11,12 +10,9 @@ anomaly fires.
 
 Dumps are gated on the ``REPRO_FLIGHT_DIR`` environment variable: unset
 means record-but-never-write, so tests and ordinary runs don't litter
-the filesystem.  Triggers wired in this repo:
-
-* ``ShardedSession`` worker death/restart (the parent dumps, including
-  the dead worker's last spans cached from heartbeat replies),
-* ``AdaptiveManager`` drift detection,
-* challenger quarantine (retune failure or A/B trial error).
+the filesystem.  The one trigger wired in this repo is a
+``ShardedSession`` worker death/restart: the parent dumps, including the
+dead worker's last spans cached from heartbeat replies.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Design constraints:
 
 * **Mergeable.**  ``merge`` adds another histogram bucket-by-bucket, so
   per-worker distributions combine into honest fleet-wide percentiles
-  (``ServiceStats.merge``) — something EWMAs and raw min/max/mean can't
-  do.
+  (``ServiceStats.merge``) — something moving averages and raw
+  min/max/mean can't do.
 * **Lock-free and picklable.**  The histogram is plain data (ints and a
   dict); owners that need thread safety (``metrics.Histogram``,
   ``PartitionCache``) guard it with their own lock.  That keeps it safe

@@ -348,9 +348,9 @@ class CompiledPartition:
         it evicts this partition.  Executing the partition again after
         ``close`` transparently rebuilds the pool.
 
-        Safe against double close — a partition that was evicted, then
-        hot-swapped back out by the adaptive retuner, is closed by both
-        paths — and against concurrent closers: mirroring the
+        Safe against double close — an owner that closes a partition a
+        :class:`PartitionCache` later evicts or clears closes it twice —
+        and against concurrent closers: mirroring the
         ``SessionClosedError`` semantics of the serving layer, the first
         closer performs the (blocking) pool shutdown while the rest wait
         on it and then return, so no caller ever observes a half-released

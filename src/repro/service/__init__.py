@@ -32,7 +32,6 @@ from .batching import (
 )
 from .cache import PartitionCache, partition_nbytes
 from .session import (
-    ADAPTIVE_MODES,
     BATCHING_MODES,
     InferenceSession,
     ModelProbe,
@@ -50,7 +49,6 @@ from .signature import canonical_graph_form, graph_signature
 from .stats import ServiceStats, SignatureStats, format_stats
 
 __all__ = [
-    "ADAPTIVE_MODES",
     "BATCHING_MODES",
     "BatchingEngine",
     "BatchingStats",

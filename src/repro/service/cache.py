@@ -64,12 +64,7 @@ class _SigRecord:
     compiles: int = 0
     compile_seconds: float = 0.0
     executes: int = 0
-    #: Exponentially-weighted moving average of per-execution latency
-    #: (seconds) — the live signal the adaptive drift monitor reads.
-    latency_ewma: float = 0.0
     latency_samples: int = 0
-    #: Hot-swaps performed on this signature (adaptive retuning).
-    swaps: int = 0
     #: Full latency distribution (log-bucketed, mergeable) — the source
     #: of the fleet-survivable p50/p95/p99 in :class:`SignatureStats`.
     latency_hist: QuantileHistogram = field(
@@ -95,28 +90,21 @@ class PartitionCache:
         self,
         capacity_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
-        ewma_alpha: float = 0.2,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes < 0:
             raise ValueError("capacity_bytes must be >= 0")
         if max_entries is not None and max_entries < 0:
             raise ValueError("max_entries must be >= 0")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         self.capacity_bytes = capacity_bytes
         self.max_entries = max_entries
-        #: Weight of the newest latency sample in the per-signature EWMA.
-        self.ewma_alpha = ewma_alpha
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._inflight: Dict[str, _InFlight] = {}
         self._records: Dict[str, _SigRecord] = {}
-        self._pinned: set = set()
         self._hits = 0
         self._misses = 0
         self._compiles = 0
         self._evictions = 0
-        self._swaps = 0
 
     # -- lookup ---------------------------------------------------------------
 
@@ -130,13 +118,6 @@ class PartitionCache:
             self._hits += 1
         get_registry().counter("service.cache.hits").inc()
         return entry.partition
-
-    def peek(self, signature: str) -> Optional[CompiledPartition]:
-        """Resident partition or None, without touching hit counters or
-        LRU order — the adaptive monitor's read path."""
-        with self._lock:
-            entry = self._entries.get(signature)
-            return entry.partition if entry is not None else None
 
     def get_or_compile(
         self,
@@ -231,92 +212,20 @@ class PartitionCache:
     ) -> None:
         """Record ``count`` executions against a signature.
 
-        ``latency_seconds`` feeds the per-signature measured-latency EWMA
-        (weight :attr:`ewma_alpha` on the newest sample) that the adaptive
-        drift monitor compares against the cost model's expectation.  A
-        serving signature is shape-polymorphic, so its samples mix every
-        batch size the traffic carried: the EWMA and the distribution
-        track the traffic mix as much as the partition.  Callers pass ``None``
-        for an execute that paid a partition's one-time build and weight
-        init: it still counts as an execute, but not as a latency sample.
+        ``latency_seconds`` adds one sample to the signature's latency
+        histogram, the source of the p50/p95/p99 in :class:`ServiceStats`
+        that survive a fleet-wide :meth:`ServiceStats.merge`.  A serving
+        signature is shape-polymorphic, so its samples mix every batch
+        size the traffic carried.  Callers pass ``None`` for an execute
+        that paid a partition's one-time build and weight init: it still
+        counts as an execute, but not as a latency sample.
         """
         with self._lock:
             record = self._records.setdefault(signature, _SigRecord())
             record.executes += count
             if latency_seconds is not None:
-                if record.latency_samples == 0:
-                    record.latency_ewma = latency_seconds
-                else:
-                    alpha = self.ewma_alpha
-                    record.latency_ewma += alpha * (
-                        latency_seconds - record.latency_ewma
-                    )
                 record.latency_samples += 1
                 record.latency_hist.observe(latency_seconds)
-
-    # -- hot swap (adaptive retuning) -----------------------------------------
-
-    def swap(
-        self,
-        signature: str,
-        partition: CompiledPartition,
-        label: str = "",
-    ) -> Optional[CompiledPartition]:
-        """Atomically replace the resident partition for ``signature``.
-
-        Returns the displaced partition (the caller owns closing it once
-        no request can still be holding it — ``CompiledPartition.close``
-        is safe against in-flight executes), or ``None`` when the
-        signature is not resident, in which case nothing changes.  The
-        entry keeps its LRU position; its byte charge is re-measured from
-        the incoming partition.  Concurrent ``get``/``get_or_compile``
-        callers see either the old or the new partition, never a
-        half-swapped state.
-        """
-        nbytes = partition_nbytes(partition)
-        with self._lock:
-            entry = self._entries.get(signature)
-            if entry is None:
-                return None
-            displaced = entry.partition
-            self._entries[signature] = _Entry(partition, nbytes)
-            self._swaps += 1
-            record = self._records.setdefault(signature, _SigRecord())
-            record.nbytes = nbytes
-            record.swaps += 1
-            if label:
-                record.label = label
-            evicted = self._evict_locked()
-            resident = self._resident_bytes_locked()
-        for victim in evicted:
-            victim.close()
-        registry = get_registry()
-        registry.counter("service.cache.swaps").inc()
-        registry.gauge("service.cache.resident_bytes").set(resident)
-        return displaced
-
-    def pin(self, signature: str) -> bool:
-        """Exempt a resident signature from LRU eviction.
-
-        The adaptive layer pins a signature for the duration of an A/B
-        trial so the incumbent under test cannot be closed out from under
-        the trial.  Returns False when the signature is not resident.
-        """
-        with self._lock:
-            if signature not in self._entries:
-                return False
-            self._pinned.add(signature)
-            return True
-
-    def unpin(self, signature: str) -> None:
-        """Re-admit a signature to LRU eviction (idempotent)."""
-        with self._lock:
-            self._pinned.discard(signature)
-
-    def pinned(self) -> list:
-        """Currently pinned signatures (diagnostics)."""
-        with self._lock:
-            return sorted(self._pinned)
 
     # -- eviction -------------------------------------------------------------
 
@@ -336,17 +245,7 @@ class PartitionCache:
 
         evicted = []
         while self._entries and over_budget():
-            victim = next(
-                (
-                    sig
-                    for sig in self._entries
-                    if sig not in self._pinned
-                ),
-                None,
-            )
-            if victim is None:
-                break  # everything resident is pinned: over budget, stuck
-            entry = self._entries.pop(victim)
+            _, entry = self._entries.popitem(last=False)
             evicted.append(entry.partition)
             self._evictions += 1
             get_registry().counter("service.cache.evictions").inc()
@@ -366,7 +265,6 @@ class PartitionCache:
             dropped = list(self._entries.values())
             self._evictions += len(dropped)
             self._entries.clear()
-            self._pinned.clear()
         for entry in dropped:
             entry.partition.close()
         registry = get_registry()
@@ -411,9 +309,7 @@ class PartitionCache:
                     compile_seconds=record.compile_seconds,
                     executes=record.executes,
                     resident=sig in self._entries,
-                    latency_ewma_seconds=record.latency_ewma,
                     latency_samples=record.latency_samples,
-                    swaps=record.swaps,
                     latency_hist=record.latency_hist.copy(),
                 )
                 for sig, record in self._records.items()
@@ -426,6 +322,5 @@ class PartitionCache:
                 in_flight=len(self._inflight),
                 resident_bytes=self._resident_bytes_locked(),
                 capacity_bytes=self.capacity_bytes,
-                swaps=self._swaps,
                 signatures=signatures,
             )

@@ -24,7 +24,6 @@ persistent thread pools when the session owns its cache.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -54,9 +53,6 @@ _PROBE_BATCHES = (2, 3)
 
 #: Valid values for ``InferenceSession(batching=)``.
 BATCHING_MODES = ("off", "on")
-
-#: Valid values for ``InferenceSession(adaptive=)``.
-ADAPTIVE_MODES = ("off", "on")
 
 #: Compile-time size hint for the symbolic batch dim: template selection
 #: and layout negotiation run against this value, so the one dynamic
@@ -191,18 +187,6 @@ class InferenceSession:
             (``batching="on"`` only).
         queue_depth: Backpressure bound on queued requests
             (``batching="on"`` only; ``None`` disables backpressure).
-        adaptive: ``"off"`` (default) serves statically — no background
-            threads, no behavior change whatsoever.  ``"on"`` attaches a
-            :class:`~repro.adaptive.AdaptiveManager` that watches live
-            per-signature latency, re-searches the tuning space of
-            partitions whose measured cost drifts from the model's
-            expectation, and hot-swaps the recompiled partition into the
-            cache once it wins a live A/B trial.  Implies at least
-            ``tuning="model"`` (a session compiled without the tuner has
-            nothing to re-search).
-        adaptive_config: Knobs for the adaptive loop
-            (:class:`~repro.adaptive.AdaptiveConfig`); defaults apply
-            when omitted.  Ignored with ``adaptive="off"``.
     """
 
     def __init__(
@@ -218,8 +202,6 @@ class InferenceSession:
         max_batch: int = 32,
         batch_timeout_us: int = 2000,
         queue_depth: Optional[int] = 256,
-        adaptive: str = "off",
-        adaptive_config=None,
     ) -> None:
         self._builder = graph_builder
         self._weights: Dict[str, np.ndarray] = dict(weights or {})
@@ -228,7 +210,6 @@ class InferenceSession:
         self._owns_cache = cache is None
         self._cache = cache if cache is not None else PartitionCache()
         self._num_threads = num_threads
-        self._lock = threading.Lock()
         self._close_lock = threading.Lock()
         self._closed = False
         self._probe = ModelProbe(graph_builder)
@@ -248,39 +229,6 @@ class InferenceSession:
                 batch_timeout_us=batch_timeout_us,
                 queue_depth=queue_depth,
             )
-        if adaptive not in ADAPTIVE_MODES:
-            raise ValueError(
-                f"unknown adaptive mode {adaptive!r}; "
-                f"expected one of {ADAPTIVE_MODES}"
-            )
-        self._adaptive = adaptive
-        self._adaptive_manager = None
-        #: Tuning problems the compile asked about (adaptive sessions).
-        self._problems: list = []
-        #: Output names of the first compile: the client-visible contract.
-        self._output_names: Optional[List[str]] = None
-        if adaptive == "on":
-            # Imported lazily: adaptive="off" sessions never pay for (or
-            # observe) the adaptive machinery.
-            from ..adaptive import AdaptiveConfig, AdaptiveManager
-
-            if self._options.tuning == "off":
-                # Without a tuner in the compile path there is nothing
-                # for the adaptive loop to re-search.
-                self._options = dataclasses.replace(
-                    self._options, tuning="model"
-                )
-            self._adaptive_manager = AdaptiveManager(
-                cache=self._cache,
-                machine=self._machine,
-                config=adaptive_config or AdaptiveConfig(),
-                problems_for=self.tuning_problems,
-                compile_fresh_for=self._fresh_compiler_for,
-                tuning_cache_path=self._options.tuning_cache_path,
-                tuning_seed=self._options.tuning_seed,
-                executor=self._options.executor,
-            )
-            self._adaptive_manager.start()
 
     @classmethod
     def for_workload(
@@ -342,15 +290,6 @@ class InferenceSession:
     @property
     def batching(self) -> str:
         return "on" if self._engine is not None else "off"
-
-    @property
-    def adaptive(self) -> str:
-        return self._adaptive
-
-    @property
-    def adaptive_manager(self):
-        """The adaptive retuning loop, or None with ``adaptive="off"``."""
-        return self._adaptive_manager
 
     @property
     def engine(self) -> Optional[BatchingEngine]:
@@ -441,8 +380,9 @@ class InferenceSession:
         feed: Dict[str, np.ndarray] = dict(self._weights)
         feed.update(inputs)
         # An execute that starts cold pays the partition's one-time
-        # build and weight init; it is kept out of the latency evidence
-        # the drift monitor compares against.
+        # build and weight init, several times a steady execute; it is
+        # kept out of the latency histogram so the signature's p50/p95/p99
+        # describe steady serving.
         warm = partition.is_warm
         tracer = get_tracer()
         start = time.perf_counter()
@@ -494,74 +434,15 @@ class InferenceSession:
         def _compile():
             # compile_graph mutates its graph, so build a fresh one here
             # (runs at most once per signature thanks to single-flight).
-            if self._adaptive_manager is None:
-                return compile_graph(
-                    self._symbolic_graph(),
-                    self._machine,
-                    self._options,
-                    num_threads=self._num_threads,
-                )
-            # Adaptive sessions record which tuning problems the compile
-            # asked about — the retuner's work list.
-            from ..adaptive import TuningProblemCapture
-
-            with TuningProblemCapture() as capture:
-                partition = compile_graph(
-                    self._symbolic_graph(),
-                    self._machine,
-                    self._options,
-                    num_threads=self._num_threads,
-                )
-            with self._lock:
-                self._problems = capture.problems
-                # The first compile's output names are the session's
-                # client-visible contract; challengers built later are
-                # aliased back to them (auto tensor names embed a
-                # process-global counter and change across recompiles).
-                if self._output_names is None:
-                    self._output_names = list(partition.output_names)
-            return partition
-
-        partition = self._cache.get_or_compile(signature, _compile, self._label)
-        return partition, signature
-
-    def tuning_problems(self, signature: str) -> list:
-        """Tuning problems captured while compiling ``signature``
-        (empty for a foreign signature, or an untuned or adaptive="off"
-        compilation)."""
-        with self._lock:
-            if signature != self._signature:
-                return []
-            return list(self._problems)
-
-    def _fresh_compiler_for(
-        self, signature: str
-    ) -> Optional[Callable[[], "CompiledPartition"]]:
-        """A zero-arg recompile hook for the session's signature, bypassing
-        the partition cache — how the adaptive layer builds challengers.
-        The recompile consults the (by then updated) tuning cache, and
-        because the graph signature does not fold tuning-cache *contents*,
-        the challenger lands under the same signature as the incumbent.
-        """
-        if signature != self._signature:
-            return None
-
-        def _compile_fresh():
-            from ..adaptive import OutputAliasPartition
-
-            partition = compile_graph(
+            return compile_graph(
                 self._symbolic_graph(),
                 self._machine,
                 self._options,
                 num_threads=self._num_threads,
             )
-            with self._lock:
-                names = self._output_names
-            if names and names != partition.output_names:
-                return OutputAliasPartition(partition, names)
-            return partition
 
-        return _compile_fresh
+        partition = self._cache.get_or_compile(signature, _compile, self._label)
+        return partition, signature
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -587,11 +468,6 @@ class InferenceSession:
             if self._closed:
                 return
             self._closed = True
-            # Adaptive first: stop the background loop (resolving any
-            # open A/B trial in the incumbent's favor) before draining
-            # requests and releasing partitions.
-            if self._adaptive_manager is not None:
-                self._adaptive_manager.close()
             if self._engine is not None:
                 self._engine.close(drain=drain)
             if self._owns_cache:

@@ -98,13 +98,8 @@ from ..observability.metrics import set_registry
 from ..observability.tracer import SpanRecord, set_tracer
 from .batching import BatchingStats
 from .cache import PartitionCache
-from .session import (
-    ADAPTIVE_MODES,
-    DYNAMIC_BATCH_HINT,
-    InferenceSession,
-    ModelProbe,
-)
-from .shm import TensorRing, request_nbytes
+from .session import DYNAMIC_BATCH_HINT, InferenceSession, ModelProbe
+from .shm import TensorRing, packed_nbytes
 from .signature import graph_signature
 from .stats import ServiceStats, format_stats
 
@@ -256,11 +251,6 @@ class _WorkerConfig:
     batch_timeout_us: int
     queue_depth: Optional[int]
     trace_enabled: bool
-    #: Per-worker adaptive retuning ("off"/"on"); each worker runs its
-    #: own monitor/retuner loop against its own partition cache.
-    adaptive: str = "off"
-    #: Knobs for the per-worker adaptive loop (None = defaults).
-    adaptive_config: Optional[object] = None
 
 
 def _portable_exception(exc: BaseException) -> BaseException:
@@ -314,15 +304,6 @@ def _worker_main(
 
     cache = PartitionCache()
     sessions: Dict[str, InferenceSession] = {}
-    options = config.options
-    if config.adaptive == "on" and options.tuning_cache_path:
-        # Each worker writes retuned records to its own cache file, so a
-        # restarted worker (fresh process, same id) resumes from what its
-        # predecessor learned instead of re-searching from scratch.
-        options = dataclasses.replace(
-            options,
-            tuning_cache_path=f"{options.tuning_cache_path}.{worker_id}",
-        )
 
     def session_for(model: str) -> InferenceSession:
         session = sessions.get(model)
@@ -335,15 +316,13 @@ def _worker_main(
                     spec.resolve_builder(),
                     weights=dict(spec.weights),
                     machine=config.machine,
-                    options=options,
+                    options=config.options,
                     cache=cache,
                     num_threads=config.num_threads,
                     batching=config.batching,
                     max_batch=config.max_batch,
                     batch_timeout_us=config.batch_timeout_us,
                     queue_depth=config.queue_depth,
-                    adaptive=config.adaptive,
-                    adaptive_config=config.adaptive_config,
                 )
             sessions[model] = session
         return session
@@ -455,13 +434,6 @@ def _worker_main(
                 if session.engine is not None
             }
             reply(("stats", cache.stats(), engines))
-        elif kind == "adaptive":
-            reports = {
-                name: session.adaptive_manager.report()
-                for name, session in sessions.items()
-                if session.adaptive_manager is not None
-            }
-            reply(("adaptive", reports))
         elif kind == "trace":
             reply(
                 (
@@ -732,6 +704,66 @@ def format_sharded_stats(stats: ShardedStats) -> str:
 _REQ_IDS = itertools.count(1)
 
 
+#: Slot charge of one packed array: ``nbytes * batch ** power`` bytes.
+_SlotTerm = Tuple[int, int]
+#: The (inputs, outputs) slot terms of one model's requests.
+_RequestTerms = Tuple[List[_SlotTerm], List[_SlotTerm]]
+
+
+def _slot_terms(builder: Callable, probe: ModelProbe) -> _RequestTerms:
+    """Per-batch slot charge of a model's request inputs and outputs.
+
+    Read off one graph at the batch hint: each batch-scaled axis of
+    multiplier ``m`` contributes ``m`` to the array's ``nbytes`` and one
+    to its ``power``; every other axis contributes its extent.
+    """
+    graph = builder(DYNAMIC_BATCH_HINT)
+
+    def term(tensor, axes) -> _SlotTerm:
+        scaled = dict(axes)
+        nbytes = np.dtype(tensor.dtype.to_numpy()).itemsize
+        for axis, extent in enumerate(tensor.shape):
+            nbytes *= scaled.get(axis, extent)
+        return nbytes, len(scaled)
+
+    by_name = {tensor.name: tensor for tensor in graph.inputs}
+    inputs = [
+        term(by_name[name], probe.input_batch_axes[name])
+        for name in probe.activation_names
+    ]
+    outputs = [
+        term(tensor, axes)
+        for tensor, axes in zip(graph.outputs, probe.output_batch_axes)
+    ]
+    return inputs, outputs
+
+
+def _footprint(terms: List[_SlotTerm], batch: int) -> int:
+    """Slot bytes the arrays of ``terms`` take at ``batch``."""
+    return packed_nbytes(nbytes * batch**power for nbytes, power in terms)
+
+
+def _largest_batch(terms: _RequestTerms, slot_bytes: int) -> Optional[int]:
+    """Largest batch whose inputs and outputs each fit ``slot_bytes``
+    (None when the footprint does not grow with the batch and fits)."""
+
+    def fits(batch: int) -> bool:
+        return all(_footprint(side, batch) <= slot_bytes for side in terms)
+
+    if not any(nbytes and power for side in terms for nbytes, power in side):
+        return None if fits(1) else 0
+    low, high = 0, 1
+    while fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        if fits(middle):
+            low = middle
+        else:
+            high = middle
+    return low
+
+
 class ShardedSession:
     """Serve one or more models across ``num_workers`` processes.
 
@@ -753,7 +785,10 @@ class ShardedSession:
         slot_bytes: Payload capacity per slot.  Defaults to the largest
             request/response the declared models can produce at
             ``DYNAMIC_BATCH_HINT`` rows, with headroom; raise it to serve
-            larger batches.
+            larger batches.  :meth:`submit` refuses a request whose
+            inputs or outputs would not fit with
+            :class:`~repro.errors.SlotOverflowError`, before any worker
+            sees it.
         slot_timeout: Seconds a submitter waits for a free slot before
             :class:`~repro.errors.TransportError` (None blocks forever).
         heartbeat_interval: Seconds between worker liveness checks.
@@ -770,14 +805,6 @@ class ShardedSession:
             ready-made multiprocessing context (default: ``fork`` where
             available — worker boot in milliseconds — else ``spawn``).
         replicas: Virtual nodes per worker on the hash ring.
-        adaptive: ``"on"`` runs one adaptive retuning loop *inside each
-            worker* over that worker's partition cache (see
-            :class:`.InferenceSession`); retuned records are written to
-            a per-worker tuning-cache file
-            (``{tuning_cache_path}.{worker_id}``) so a restarted worker
-            resumes from its predecessor's learning.  Default ``"off"``.
-        adaptive_config: :class:`~repro.adaptive.AdaptiveConfig` knobs
-            forwarded to every worker's loop.
 
     Every model is served through one shape-polymorphic partition (see
     :class:`.InferenceSession`), so a model has one signature and hence
@@ -804,8 +831,6 @@ class ShardedSession:
         warmup=False,
         mp_context=None,
         replicas: int = 64,
-        adaptive: str = "off",
-        adaptive_config=None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -827,12 +852,6 @@ class ShardedSession:
         self._machine = machine
         self._options = options or CompilerOptions()
         self._num_threads = num_threads
-        if adaptive not in ADAPTIVE_MODES:
-            raise ValueError(
-                f"unknown adaptive mode {adaptive!r}; "
-                f"expected one of {ADAPTIVE_MODES}"
-            )
-        self._adaptive = adaptive
         self._config = _WorkerConfig(
             models=dict(self._models),
             machine=machine,
@@ -843,11 +862,13 @@ class ShardedSession:
             batch_timeout_us=batch_timeout_us,
             queue_depth=queue_depth,
             trace_enabled=get_tracer().enabled,
-            adaptive=adaptive,
-            adaptive_config=adaptive_config,
         )
         self._probes: Dict[str, ModelProbe] = {
             name: ModelProbe(spec.resolve_builder())
+            for name, spec in self._models.items()
+        }
+        self._slot_terms: Dict[str, _RequestTerms] = {
+            name: _slot_terms(spec.resolve_builder(), self._probes[name])
             for name, spec in self._models.items()
         }
         self._slots = int(slots_per_worker)
@@ -856,6 +877,12 @@ class ShardedSession:
             if slot_bytes is not None
             else self._default_slot_bytes()
         )
+        #: Largest batch per model whose request and reply each fit one
+        #: slot (None: any batch fits); submit() refuses larger ones.
+        self._largest_batch: Dict[str, Optional[int]] = {
+            name: _largest_batch(terms, self._slot_bytes)
+            for name, terms in self._slot_terms.items()
+        }
         self._slot_timeout = slot_timeout
         self._heartbeat_interval = float(heartbeat_interval)
         self._restart = bool(restart_workers)
@@ -940,20 +967,9 @@ class ShardedSession:
     def _default_slot_bytes(self) -> int:
         """Largest request/response footprint at the batch hint."""
         need = 4096
-        for name, spec in self._models.items():
-            graph = spec.resolve_builder()(DYNAMIC_BATCH_HINT)
-            weight_names = set(self._probes[name].weight_names)
-            inputs = {
-                t.name: np.empty(t.shape, dtype=t.dtype.to_numpy())
-                for t in graph.inputs
-                if t.id not in graph.constants
-                and t.name not in weight_names
-            }
-            outputs = {
-                t.name: np.empty(t.shape, dtype=t.dtype.to_numpy())
-                for t in graph.outputs
-            }
-            need = max(need, request_nbytes(inputs), request_nbytes(outputs))
+        for terms in self._slot_terms.values():
+            for side in terms:
+                need = max(need, _footprint(side, DYNAMIC_BATCH_HINT))
         return need + 256  # alignment headroom
 
     # -- worker lifecycle -----------------------------------------------------
@@ -1317,6 +1333,17 @@ class ShardedSession:
             batch = probe.infer_batch(inputs)
         if batch <= 0:
             raise ValueError("batch must be positive")
+        largest = self._largest_batch[model]
+        if largest is not None and batch > largest:
+            need = max(
+                _footprint(side, batch) for side in self._slot_terms[model]
+            )
+            raise SlotOverflowError(
+                f"batch {batch} of model {model!r} needs {need} slot "
+                f"bytes, more than the {self._slot_bytes}-byte slot; the "
+                f"largest servable batch is {largest} (raise slot_bytes "
+                "to serve larger batches)"
+            )
         arrays: Dict[str, np.ndarray] = {}
         for name in probe.activation_names:
             if name not in inputs:
@@ -1407,30 +1434,6 @@ class ShardedSession:
     @property
     def num_workers(self) -> int:
         return len(self._workers)
-
-    @property
-    def adaptive(self) -> str:
-        return self._adaptive
-
-    def adaptive_reports(
-        self, timeout: float = 30.0
-    ) -> Dict[str, Dict[str, dict]]:
-        """Per-worker adaptive-loop reports: worker -> model -> report.
-
-        Empty per-worker maps with ``adaptive="off"`` (the loop never
-        exists in the workers).  Workers mid-restart are skipped, like
-        in :meth:`stats`.
-        """
-        reports: Dict[str, Dict[str, dict]] = {}
-        for worker_id, worker in sorted(self._workers.items()):
-            try:
-                (worker_reports,) = worker.request(
-                    "adaptive", ("adaptive",), timeout=timeout
-                )
-            except (TransportError, OSError):
-                continue
-            reports[worker_id] = worker_reports
-        return reports
 
     def workers(self) -> Dict[str, WorkerInfo]:
         """Liveness/identity snapshot of every worker slot."""

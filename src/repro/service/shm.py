@@ -37,7 +37,17 @@ import os
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -84,12 +94,18 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
+def packed_nbytes(sizes: Iterable[int]) -> int:
+    """Slot bytes needed to pack arrays of ``sizes`` bytes, in order
+    (alignment included)."""
+    offset = 0
+    for nbytes in sizes:
+        offset = _align(offset) + nbytes
+    return offset
+
+
 def request_nbytes(arrays: Mapping[str, np.ndarray]) -> int:
     """Slot bytes needed to pack ``arrays`` (alignment included)."""
-    offset = 0
-    for array in arrays.values():
-        offset = _align(offset) + np.asarray(array).nbytes
-    return offset
+    return packed_nbytes(np.asarray(a).nbytes for a in arrays.values())
 
 
 class TensorRing:

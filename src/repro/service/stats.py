@@ -25,26 +25,17 @@ class SignatureStats:
     compile_seconds: float
     executes: int
     resident: bool
-    #: Exponentially-weighted moving average of per-execution latency
-    #: (seconds), fed by ``PartitionCache.note_execute`` — the adaptive
-    #: drift monitor compares it against the cost model's expectation.
-    latency_ewma_seconds: float = 0.0
+    #: Warm executions recorded in :attr:`latency_hist`.
     latency_samples: int = 0
-    #: Hot-swaps the adaptive retuner performed on this signature.
-    swaps: int = 0
-    #: Full per-execution latency distribution (seconds).  Log-bucketed
-    #: and mergeable, so fleet-wide p50/p95/p99 survive
-    #: :meth:`ServiceStats.merge` — EWMAs and min/max alone cannot give
-    #: honest fleet percentiles.
+    #: Full per-execution latency distribution (seconds), fed by
+    #: ``PartitionCache.note_execute``.  Log-bucketed and mergeable, so
+    #: fleet-wide p50/p95/p99 survive :meth:`ServiceStats.merge` — means
+    #: and min/max alone cannot give honest fleet percentiles.
     latency_hist: Optional[QuantileHistogram] = None
 
     @property
     def short_signature(self) -> str:
         return self.signature[:12]
-
-    @property
-    def latency_ewma_ms(self) -> float:
-        return self.latency_ewma_seconds * 1e3
 
     def latency_quantile_seconds(self, q: float) -> Optional[float]:
         """Latency quantile in seconds, or None without a distribution."""
@@ -54,7 +45,7 @@ class SignatureStats:
 
     @property
     def latency_p95_seconds(self) -> Optional[float]:
-        """Tail latency the adaptive drift monitor prefers over the EWMA."""
+        """95th-percentile warm execute latency in seconds, or None."""
         return self.latency_quantile_seconds(0.95)
 
     @property
@@ -74,7 +65,6 @@ class SignatureStats:
 
     def to_dict(self) -> Dict[str, Any]:
         result = asdict(self)
-        result["latency_ewma_ms"] = self.latency_ewma_ms
         result["latency_hist"] = (
             self.latency_hist.to_dict()
             if self.latency_hist is not None
@@ -97,13 +87,16 @@ class ServiceStats:
     in_flight: int
     resident_bytes: int
     capacity_bytes: Optional[int]
-    #: Hot-swaps the adaptive retuner performed across all signatures.
-    swaps: int = 0
     signatures: Tuple[SignatureStats, ...] = field(default_factory=tuple)
 
     @property
     def requests(self) -> int:
         return self.hits + self.misses
+
+    @property
+    def executes(self) -> int:
+        """Partition executions across every signature."""
+        return sum(sig.executes for sig in self.signatures)
 
     @property
     def hit_rate(self) -> float:
@@ -154,16 +147,6 @@ class ServiceStats:
                 if seen is None:
                     merged_sigs[sig.signature] = sig
                     continue
-                samples = seen.latency_samples + sig.latency_samples
-                ewma = (
-                    (
-                        seen.latency_ewma_seconds * seen.latency_samples
-                        + sig.latency_ewma_seconds * sig.latency_samples
-                    )
-                    / samples
-                    if samples
-                    else 0.0
-                )
                 if seen.latency_hist is not None and \
                         sig.latency_hist is not None:
                     hist = seen.latency_hist.copy().merge(sig.latency_hist)
@@ -179,9 +162,9 @@ class ServiceStats:
                     ),
                     executes=seen.executes + sig.executes,
                     resident=seen.resident or sig.resident,
-                    latency_ewma_seconds=ewma,
-                    latency_samples=samples,
-                    swaps=seen.swaps + sig.swaps,
+                    latency_samples=(
+                        seen.latency_samples + sig.latency_samples
+                    ),
                     latency_hist=hist,
                 )
         return ServiceStats(
@@ -192,7 +175,6 @@ class ServiceStats:
             in_flight=sum(p.in_flight for p in parts),
             resident_bytes=sum(p.resident_bytes for p in parts),
             capacity_bytes=capacity,
-            swaps=sum(p.swaps for p in parts),
             signatures=tuple(
                 sorted(
                     merged_sigs.values(), key=lambda s: s.signature
@@ -223,7 +205,7 @@ def format_stats(
     )
     lines.append(
         f"  compiles={stats.compiles} evictions={stats.evictions} "
-        f"in_flight={stats.in_flight} swaps={stats.swaps}"
+        f"in_flight={stats.in_flight}"
     )
     lines.append(
         f"  resident_bytes={stats.resident_bytes} capacity={capacity}"
@@ -238,9 +220,7 @@ def format_stats(
                     "compiles",
                     "compile_s",
                     "executes",
-                    "ewma_ms",
                     "p95_ms",
-                    "swaps",
                     "resident",
                 ],
                 [
@@ -251,13 +231,9 @@ def format_stats(
                         sig.compiles,
                         sig.compile_seconds,
                         sig.executes,
-                        f"{sig.latency_ewma_ms:.2f}"
-                        if sig.latency_samples
-                        else "-",
                         f"{sig.latency_p95_ms:.2f}"
                         if sig.latency_p95_ms is not None
                         else "-",
-                        sig.swaps,
                         "yes" if sig.resident else "no",
                     )
                     for sig in stats.signatures

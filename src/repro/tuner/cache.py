@@ -146,9 +146,6 @@ class TuningCacheStats:
     misses: int = 0
     stores: int = 0
     load_errors: int = 0
-    #: Entries replaced in place by :meth:`TuningCache.update` — the
-    #: online retuner superseding a stale compile-time decision.
-    superseded_by_retune: int = 0
 
 
 class TuningCache:
@@ -231,25 +228,6 @@ class TuningCache:
             self._entries[key] = record
             self.stats.stores += 1
             self._save_locked()
-
-    def update(self, key: str, record: TuningRecord) -> bool:
-        """Replace an entry in place (atomic rewrite), returning whether a
-        previous record was superseded.
-
-        This is the online retuner's write-back path: unlike :meth:`put`
-        (which compile-time tuning only calls for keys it just missed on),
-        ``update`` expects to overwrite, and counts the supersession so
-        :class:`TuningCacheStats` shows how often live feedback overturned
-        a compile-time decision.
-        """
-        with self._lock:
-            replaced = key in self._entries
-            self._entries[key] = record
-            self.stats.stores += 1
-            if replaced:
-                self.stats.superseded_by_retune += 1
-            self._save_locked()
-        return replaced
 
     def __len__(self) -> int:
         with self._lock:

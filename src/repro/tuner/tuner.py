@@ -66,9 +66,6 @@ class TuningResult:
     strategy: str = ""
     #: The cache key of this problem.
     key: str = ""
-    #: Constraints the caller imposed, kept so the adaptive retuner can
-    #: rebuild exactly the same tuning space later.
-    constraints: Optional[HeuristicConstraints] = None
 
     @property
     def speedup_vs_heuristic(self) -> float:
@@ -209,7 +206,6 @@ class MatmulTuner:
                 evaluator=record.evaluator,
                 evaluations=0,
                 key=key,
-                constraints=constraints,
             )
             return self._emit(result)
 
@@ -228,7 +224,6 @@ class MatmulTuner:
                 heuristic_cost=heuristic_cost,
                 source="heuristic",
                 key=key,
-                constraints=constraints,
             )
             return self._emit(result)
 
@@ -242,7 +237,6 @@ class MatmulTuner:
                 heuristic_cost=heuristic_cost,
                 source="heuristic",
                 key=key,
-                constraints=constraints,
             )
             return self._emit(result)
 
@@ -269,105 +263,6 @@ class MatmulTuner:
             evaluations=evaluations,
             strategy=strategy,
             key=key,
-            constraints=constraints,
-        )
-        return self._emit(result)
-
-    def retune(
-        self,
-        m: int,
-        n: int,
-        k: int,
-        dtype: DType,
-        batch: int = 1,
-        constraints: Optional[HeuristicConstraints] = None,
-        seed_params: Optional[MatmulParams] = None,
-        budget: Optional[int] = None,
-        repeats: Optional[int] = None,
-    ) -> TuningResult:
-        """Re-search a problem the cache already answers, and overwrite it.
-
-        The adaptive retuner calls this when live latency says the cached
-        decision went stale.  Unlike :meth:`tune` it skips the cache
-        lookup, seeds the search with the *incumbent's* params (so the
-        search explores around the current answer as well as the
-        heuristic's), always re-ranks finalists with the
-        :class:`MeasuredEvaluator` — drift is by definition something the
-        model missed — and writes the winner back through
-        :meth:`TuningCache.update`, superseding the stale record.
-        ``budget`` / ``repeats`` override the compile-time settings so a
-        background retune can spend a different (usually smaller) budget
-        than the original search.
-        """
-        key = tuning_key(
-            m, n, k, dtype, self.machine, batch=batch,
-            constraints=constraints, executor=self.executor,
-        )
-        heuristic = select_matmul_params(
-            m, n, k, dtype, self.machine, batch=batch, constraints=constraints
-        )
-        heuristic_cost = candidate_cost(
-            heuristic, dtype, self.machine, original_sizes=(m, n, k)
-        )
-        space = TuningSpace(
-            m, n, k, dtype, self.machine, batch=batch, constraints=constraints
-        )
-        model = ModelEvaluator(m, n, k, dtype, self.machine, batch=batch)
-        search_budget = max(1, budget) if budget is not None else self.budget
-        strategy = choose_strategy(space, search_budget, seed=self.seed)
-        seeds = [heuristic]
-        if seed_params is not None and seed_params not in seeds:
-            seeds.append(seed_params)
-        outcome: SearchOutcome = strategy.run(space, model, seeds=seeds)
-
-        finalists = outcome.top(self.measure_top_k)
-        for extra in seeds:
-            if extra not in finalists:
-                finalists.append(extra)
-        measured = MeasuredEvaluator(
-            m, n, k, dtype, self.machine, batch=batch,
-            repeats=repeats if repeats is not None else self.measure_repeats,
-            seed=self.seed,
-        )
-        best_params, best_seconds = outcome.params, None
-        for candidate in finalists:
-            seconds = measured.score(candidate)
-            if seconds is None:
-                continue
-            if best_seconds is None or seconds < best_seconds:
-                best_params, best_seconds = candidate, seconds
-        if best_seconds is None:
-            evaluator_name, measured_seconds = "model", 0.0
-            evaluations = outcome.evaluations
-        else:
-            evaluator_name = "measured"
-            measured_seconds = best_seconds
-            evaluations = outcome.evaluations + measured.evaluations
-        best_cost = candidate_cost(
-            best_params, dtype, self.machine, original_sizes=(m, n, k)
-        )
-        self.cache.update(
-            key,
-            TuningRecord(
-                params=best_params,
-                cost=best_cost,
-                heuristic_cost=heuristic_cost,
-                evaluator=evaluator_name,
-                measured_seconds=measured_seconds,
-                evaluations=evaluations,
-            ),
-        )
-        result = TuningResult(
-            m=m, n=n, k=k, batch=batch, dtype=dtype,
-            params=best_params,
-            cost=best_cost,
-            heuristic_cost=heuristic_cost,
-            source="retune",
-            evaluator=evaluator_name,
-            evaluations=evaluations,
-            strategy=outcome.strategy,
-            key=key,
-            constraints=constraints,
         )
         return self._emit(result)
 

@@ -72,21 +72,21 @@ class TestDump:
         try:
             rec = set_flight_recorder(FlightRecorder())
             rec.record("batch.execute", category="service", batch=8)
-            rec.record("drift", category="adaptive", ratio=2.5)
-            path = dump_flight("drift-detected", signature="abc123")
+            rec.record("worker.stop", category="service", worker="w0")
+            path = dump_flight("worker-death", signature="abc123")
         finally:
             set_flight_recorder(original)
         assert path is not None and os.path.exists(path)
-        assert "drift-detected" in os.path.basename(path)
+        assert "worker-death" in os.path.basename(path)
         assert validate_chrome_trace_file(path) == []
         document = json.load(open(path))
         other = document["otherData"]
-        assert other["flight_reason"] == "drift-detected"
+        assert other["flight_reason"] == "worker-death"
         assert other["flight_attrs"]["signature"] == "abc123"
         assert other["pid"] == os.getpid()
         assert "metrics" in other
         names = {e["name"] for e in document["traceEvents"]}
-        assert {"batch.execute", "drift"} <= names
+        assert {"batch.execute", "worker.stop"} <= names
 
     def test_dump_includes_extra_processes(self, monkeypatch, tmp_path):
         monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))

@@ -203,6 +203,21 @@ class TestStatsSnapshot:
         assert "hit_rate" in text
         assert "compiles=1" in text
 
+    def test_latency_histogram_tracks_note_execute(self):
+        cache = PartitionCache()
+        g = tiny_graph()
+        sig = graph_signature(g)
+        cache.get_or_compile(sig, lambda: compile_graph(g))
+        cache.note_execute(sig)  # cold: an execute, not a latency sample
+        for seconds in (1e-3, 2e-3, 4e-3):
+            cache.note_execute(sig, latency_seconds=seconds)
+        record = {s.signature: s for s in cache.stats().signatures}[sig]
+        assert record.executes == 4
+        assert record.latency_samples == 3
+        assert record.latency_hist.count == 3
+        assert record.latency_p50_ms == pytest.approx(2.0, rel=0.05)
+        assert record.latency_p95_seconds == pytest.approx(4e-3, rel=0.05)
+
 
 class TestEvictionClosesPartitions:
     """ISSUE satellite: evicted partitions must release their thread
@@ -265,79 +280,3 @@ class TestEvictionClosesPartitions:
             }
         )
         assert next(iter(out.values())).shape == (8, 16)
-
-
-class TestAdaptiveSurface:
-    """peek / swap / pin: the adaptive retuner's cache API."""
-
-    def test_peek_does_not_touch_counters_or_lru(self):
-        cache = PartitionCache()
-        g = tiny_graph()
-        sig = graph_signature(g)
-        p = cache.get_or_compile(sig, lambda: compile_graph(g))
-        before = cache.stats()
-        assert cache.peek(sig) is p
-        assert cache.peek("absent") is None
-        after = cache.stats()
-        assert after.hits == before.hits
-        assert after.misses == before.misses
-
-    def test_swap_replaces_resident_partition(self):
-        cache = PartitionCache()
-        g = tiny_graph()
-        sig = graph_signature(g)
-        original = cache.get_or_compile(sig, lambda: compile_graph(g))
-        replacement = compile_graph(tiny_graph())
-        displaced = cache.swap(sig, replacement, label="retuned")
-        assert displaced is original
-        assert cache.get(sig) is replacement
-        record = {s.signature: s for s in cache.stats().signatures}[sig]
-        assert record.swaps == 1
-        assert record.label == "retuned"
-        assert cache.stats().swaps == 1
-
-    def test_swap_missing_signature_is_a_noop(self):
-        cache = PartitionCache()
-        replacement = compile_graph(tiny_graph())
-        assert cache.swap("absent", replacement) is None
-        assert cache.stats().swaps == 0
-
-    def test_pinned_signature_survives_eviction(self):
-        # Budget for one entry; the pinned one must not be the victim.
-        g1, g2 = tiny_graph(), tiny_graph(k=64)
-        cache = PartitionCache(max_entries=1)
-        sig1, sig2 = graph_signature(g1), graph_signature(g2)
-        p1 = cache.get_or_compile(sig1, lambda: compile_graph(g1))
-        assert cache.pin(sig1)
-        cache.get_or_compile(sig2, lambda: compile_graph(g2))
-        assert cache.peek(sig1) is p1  # pinned: still resident
-        cache.unpin(sig1)
-        assert cache.pinned() == []
-        cache.get_or_compile(sig2, lambda: compile_graph(g2))
-        assert cache.peek(sig1) is None  # unpinned: evictable again
-
-    def test_pin_missing_signature_fails(self):
-        cache = PartitionCache()
-        assert cache.pin("absent") is False
-        cache.unpin("absent")  # idempotent, no error
-
-    def test_latency_ewma_tracks_note_execute(self):
-        cache = PartitionCache()
-        g = tiny_graph()
-        sig = graph_signature(g)
-        cache.get_or_compile(sig, lambda: compile_graph(g))
-        cache.note_execute(sig, latency_seconds=1e-3)
-        record = {s.signature: s for s in cache.stats().signatures}[sig]
-        # First sample seeds the EWMA exactly.
-        assert record.latency_ewma_seconds == pytest.approx(1e-3)
-        assert record.latency_samples == 1
-        cache.note_execute(sig, latency_seconds=2e-3)
-        record = {s.signature: s for s in cache.stats().signatures}[sig]
-        alpha = cache.ewma_alpha
-        assert record.latency_ewma_seconds == pytest.approx(
-            (1 - alpha) * 1e-3 + alpha * 2e-3
-        )
-        assert record.latency_samples == 2
-        assert record.latency_ewma_ms == pytest.approx(
-            record.latency_ewma_seconds * 1e3
-        )

@@ -2,6 +2,7 @@
 threading, lifecycle."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from repro import (
     compile_graph,
 )
 from repro.graph_ir.reference import evaluate_graph
+from repro.graph_ir.symbolic import dyn
+from repro.microkernel.machine import XEON_8358
 from repro.runtime.partition import CompiledPartition
-from repro.service import InferenceSession, PartitionCache
+from repro.service import InferenceSession, PartitionCache, graph_signature
 from repro.service.session import DYNAMIC_BATCH_HINT
 from repro.workloads import (
     build_mha_graph,
@@ -519,3 +522,73 @@ class TestOneCompile:
         assert counter.count == 1
         assert sess.stats().compiles == 1
         sess.close()
+
+
+class ColdStartPartition:
+    """Wraps a real partition; its first execute is scripted to be slow,
+    as if it paid a long one-time build, and later ones are fast."""
+
+    def __init__(self, inner, cold_seconds):
+        self._inner = inner
+        self._cold_seconds = cold_seconds
+        self.is_warm = False
+
+    def execute(self, inputs):
+        if not self.is_warm:
+            time.sleep(self._cold_seconds)
+            self.is_warm = True
+        return self._inner.execute(inputs)
+
+    def close(self):
+        self._inner.close()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestLatencyEvidence:
+    """The per-signature latency histogram describes steady serving: the
+    execute that pays a partition's one-time build is counted, but is not
+    a latency sample."""
+
+    def test_first_execute_is_not_a_latency_sample(self):
+        weights = mlp_weights()
+        x = make_mlp_inputs("MLP_1", 32)["x"]
+        with mlp_session(weights) as session:
+            session.run({"x": x})
+            session.run({"x": x})
+            (sig_stats,) = session.stats().signatures
+            assert sig_stats.executes == 2
+            assert sig_stats.latency_samples == 1
+            assert sig_stats.latency_p95_seconds > 0
+
+    def test_cold_first_execute_is_not_latency_evidence(self):
+        cold_seconds = 0.3
+        weights = mlp_weights()
+        x = make_mlp_inputs("MLP_1", 32)["x"]
+
+        def symbolic_graph():
+            return build_mlp_graph("MLP_1", dyn("B", DYNAMIC_BATCH_HINT))
+
+        signature = graph_signature(
+            symbolic_graph(), XEON_8358, CompilerOptions()
+        )
+        cache = PartitionCache()
+        cache.get_or_compile(
+            signature,
+            lambda: ColdStartPartition(
+                compile_graph(symbolic_graph()), cold_seconds
+            ),
+        )
+        session = mlp_session(weights, cache=cache)
+        try:
+            for _ in range(5):
+                session.run({"x": x})
+            (sig_stats,) = session.stats().signatures
+            assert sig_stats.signature == signature
+            assert sig_stats.executes == 5
+            assert sig_stats.latency_samples == 4
+            assert sig_stats.latency_p95_seconds < cold_seconds
+        finally:
+            session.close()
+            cache.close()

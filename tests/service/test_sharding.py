@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import SessionClosedError
+from repro.errors import SessionClosedError, SlotOverflowError
 from repro.observability import (
     FLIGHT_DIR_ENV,
     Tracer,
@@ -484,3 +484,25 @@ class TestDynamicBatchFleet:
             assert stats.merged.compiles == 1
             assert len(stats.merged.signatures) == 1
         reference.close()
+
+    def test_oversize_batch_refused_at_submit(self):
+        # A default slot holds a DYNAMIC_BATCH_HINT-row MLP_1 request:
+        # batch 33's 33x128 f32 reply would overflow it, so the request
+        # must fail before any worker executes it.
+        with ShardedSession(
+            make_spec("MLP_1"), num_workers=1, warmup=True
+        ) as session:
+            rng = np.random.RandomState(17)
+            x32 = rng.randn(32, 13).astype(np.float32)
+            assert next(iter(session.run({"x": x32}).values())).shape == (
+                32,
+                128,
+            )
+            executes = session.stats().merged.executes
+            x33 = rng.randn(33, 13).astype(np.float32)
+            with pytest.raises(
+                SlotOverflowError, match="largest servable batch is 32"
+            ):
+                session.submit({"x": x33})
+            assert session.stats().merged.executes == executes
+

@@ -104,7 +104,7 @@ class TestMerge:
 
 class TestLatencyPercentiles:
     """Per-signature latency distributions must survive the fleet merge —
-    an EWMA alone cannot answer a fleet-wide p95 honestly."""
+    a mean alone cannot answer a fleet-wide p95 honestly."""
 
     def test_percentiles_survive_merge(self):
         fast = sig(

@@ -314,7 +314,7 @@ class TestClose:
         assert p.has_active_pool
         p.close()
         assert not p.has_active_pool
-        p.close()  # the adaptive swap path may close an arm twice
+        p.close()  # an owner and an evicting cache may both close it
         assert not p.has_active_pool
 
     def test_close_before_first_execute(self):

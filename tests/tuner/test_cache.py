@@ -153,38 +153,3 @@ class TestRegistry:
             assert get_tuning_cache(path) is not get_tuning_cache()
         finally:
             reset_tuning_caches()
-
-
-class TestRetuneUpdate:
-    def test_update_inserts_when_absent(self):
-        cache = TuningCache()
-        assert cache.update("k", record()) is False
-        assert cache.get("k") is not None
-        assert cache.stats.superseded_by_retune == 0
-
-    def test_update_supersedes_and_counts(self, tmp_path):
-        path = str(tmp_path / "tune.json")
-        cache = TuningCache(path)
-        key = tuning_key(256, 256, 256, DType.f32, MACHINE)
-        cache.put(key, record())
-        newer = TuningRecord(
-            params=record().params,
-            cost=800.0,
-            heuristic_cost=1200.0,
-            evaluations=7,
-        )
-        assert cache.update(key, newer) is True
-        assert cache.get(key).cost == 800.0
-        assert cache.stats.superseded_by_retune == 1
-        # The rewrite is durable: a fresh instance sees the new record.
-        assert TuningCache(path).get(key).cost == 800.0
-
-    def test_update_atomic_rewrite_leaves_no_temp_files(self, tmp_path):
-        path = str(tmp_path / "tune.json")
-        cache = TuningCache(path)
-        cache.put("k", record())
-        for _ in range(3):
-            cache.update("k", record())
-        leftovers = [f for f in os.listdir(tmp_path) if f != "tune.json"]
-        assert leftovers == []
-        assert cache.stats.superseded_by_retune == 3
