@@ -10,7 +10,14 @@ blocks in plain layout.  Int8 inputs accumulate in int32 (VNNI semantics);
 floating inputs accumulate in float32.
 
 The compiler only chooses block sizes and batch; everything inside this call
-is the "expert-tuned" black box the hybrid approach relies on.
+is the "expert-tuned" black box the hybrid approach relies on.  Here that
+box is one BLAS GEMM: :func:`brgemm_partial` folds the reduce batch into K
+(``A -> [MB, BS*KB]``) so a single float32 ``@`` does the whole reduction.
+Int8 operands run the same float32 GEMM in K-chunks short enough that every
+partial sum stays an exactly representable integer (at most 2**24), and the
+chunks accumulate in int32, so the result is bit-equal to an int32 GEMM.
+The interpreter (:func:`batch_reduce_gemm`) and the generated code both
+call :func:`brgemm_partial`, so the two backends agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +25,56 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
+
+#: Largest operand magnitude per integer dtype.
+_INT_MAX_ABS = {np.dtype(np.uint8): 255, np.dtype(np.int8): 128}
+#: float32 represents every integer of magnitude up to 2**24 exactly.
+_F32_EXACT_INT = 1 << 24
+
+
+def exact_chunk(a_dtype, b_dtype) -> int:
+    """Longest reduction whose float32 partial sums are all exact integers.
+
+    ``2**24 // (max|a| * max|b|)``: 514 for u8 x s8, 1024 for s8 x s8 and
+    258 for u8 x u8.  The bound holds for every partial sum, so it holds in
+    any summation order, FMA included.
+    """
+    return _F32_EXACT_INT // (
+        _INT_MAX_ABS[np.dtype(a_dtype)] * _INT_MAX_ABS[np.dtype(b_dtype)]
+    )
+
+
+def brgemm_partial(
+    a: np.ndarray, b: np.ndarray, b_transposed: bool
+) -> np.ndarray:
+    """``sum over bs of A[bs] x B[bs]`` as a fresh ``[MB, NB]`` array.
+
+    The reduce batch is folded into K: A becomes ``[MB, BS*KB]`` and B
+    ``[NB, BS*KB]`` (``b_transposed``) or ``[BS*KB, NB]``, both made
+    C-contiguous float32 so every caller hands BLAS the same layout.
+    Float inputs give float32; int8 inputs give the exact int32 result.
+    Operands are not validated here (see :func:`batch_reduce_gemm`).
+    """
+    bs, mb, kb = a.shape
+    k = bs * kb
+    a2 = np.ascontiguousarray(
+        a.transpose(1, 0, 2), dtype=np.float32
+    ).reshape(mb, k)
+    if b_transposed:
+        b2 = np.ascontiguousarray(
+            b.transpose(1, 0, 2), dtype=np.float32
+        ).reshape(b.shape[1], k).T
+    else:
+        b2 = np.ascontiguousarray(b, dtype=np.float32).reshape(k, b.shape[2])
+    if a.dtype not in _INT_MAX_ABS:
+        return a2 @ b2
+    step = exact_chunk(a.dtype, b.dtype)
+    out = (a2[:, :step] @ b2[:step]).astype(np.int32)
+    for start in range(step, k, step):
+        out += (a2[:, start:start + step] @ b2[start:start + step]).astype(
+            np.int32
+        )
+    return out
 
 
 def batch_reduce_gemm(
@@ -64,32 +121,25 @@ def batch_reduce_gemm(
             f"brgemm accumulator shape {c.shape} != ({mb}, {nb})"
         )
 
-    if a.dtype in (np.int8, np.uint8):
+    if a.dtype in _INT_MAX_ABS:
+        if b.dtype not in _INT_MAX_ABS:
+            raise ExecutionError(
+                f"int8 brgemm needs an int8 B operand, got {b.dtype}"
+            )
         if c.dtype != np.int32:
             raise ExecutionError(
                 f"int8 brgemm needs an int32 accumulator, got {c.dtype}"
             )
-        acc_dtype = np.int32
-    else:
-        if c.dtype != np.float32:
-            raise ExecutionError(
-                f"float brgemm needs a float32 accumulator, got {c.dtype}"
-            )
-        acc_dtype = np.float32
-    # asarray: widen int8 operands to the accumulator dtype, but never
-    # copy operands already in it (astype would copy unconditionally).
-    acc_a = np.asarray(a, dtype=acc_dtype)
-    acc_b = np.asarray(b, dtype=acc_dtype)
+    elif c.dtype != np.float32:
+        raise ExecutionError(
+            f"float brgemm needs a float32 accumulator, got {c.dtype}"
+        )
 
-    if b_transposed:
-        partial = np.einsum("bmk,bnk->mn", acc_a, acc_b)
-    else:
-        partial = np.einsum("bmk,bkn->mn", acc_a, acc_b)
-
+    partial = brgemm_partial(a, b, b_transposed)
     if initialize:
-        c[...] = partial.astype(c.dtype, copy=False)
+        c[...] = partial
     else:
-        c += partial.astype(c.dtype, copy=False)
+        c += partial
 
 
 def brgemm_flops(mb: int, nb: int, kb: int, batch: int) -> int:

@@ -51,6 +51,7 @@ import numpy as np
 
 from ..errors import ExecutionError, TensorIRError
 from ..graph_ir.op_registry import OP_REGISTRY
+from ..microkernel.brgemm import brgemm_partial
 from ..observability import get_tracer
 from ..tensor_ir.expr import Binary, BinaryOp, Const, Expr, Var, fold
 from ..tensor_ir.function import TirFunction
@@ -74,17 +75,6 @@ from ..tensor_ir.stmt import (
 )
 from .dynamic import bind_shapes, run_pack, run_unpack
 from .interpreter import ExecutionStats, brgemm_cost_attrs
-
-try:  # numpy >= 2.0
-    from numpy._core._multiarray_umath import c_einsum as _C_EINSUM
-except ImportError:  # pragma: no cover - depends on numpy version
-    try:  # numpy 1.x
-        from numpy.core._multiarray_umath import c_einsum as _C_EINSUM
-    except ImportError:
-        # ``np.einsum(optimize=False)`` delegates straight to c_einsum,
-        # so binding it skips only wrapper overhead — results identical.
-        _C_EINSUM = np.einsum
-
 
 #: (ExecutionStats attribute, generated local tally) pairs: pure-sum
 #: counters are accumulated in locals and flushed once per function call
@@ -321,8 +311,7 @@ class _FunctionEmitter:
             "_add": np.add,
             "_maximum": np.maximum,
             "_broadcast_to": np.broadcast_to,
-            "_einsum": _C_EINSUM,
-            "_contig": np.ascontiguousarray,
+            "_brgemm_partial": brgemm_partial,
             "_rpack": run_pack,
             "_runpack": run_unpack,
             "_pc": time.perf_counter,
@@ -1011,35 +1000,32 @@ class _FunctionEmitter:
         a_dtype = self.dtypes[stmt.a.tensor]
         c_dtype = self.dtypes[stmt.c.tensor]
         if a_dtype in (np.int8, np.uint8):
+            b_dtype = self.dtypes[stmt.b.tensor]
+            if b_dtype not in (np.int8, np.uint8):
+                raise _SpecializationError(
+                    ExecutionError,
+                    f"int8 brgemm needs an int8 B operand, got {b_dtype}",
+                )
             if c_dtype != np.int32:
                 raise _SpecializationError(
                     ExecutionError,
                     f"int8 brgemm needs an int32 accumulator, got "
                     f"{c_dtype}",
                 )
-            acc_dtype = np.int32
-        else:
-            if c_dtype != np.float32:
-                raise _SpecializationError(
-                    ExecutionError,
-                    f"float brgemm needs a float32 accumulator, got "
-                    f"{c_dtype}",
-                )
-            acc_dtype = np.float32
-        subscripts = "bmk,bnk->mn" if stmt.b_transposed else "bmk,bkn->mn"
+        elif c_dtype != np.float32:
+            raise _SpecializationError(
+                ExecutionError,
+                f"float brgemm needs a float32 accumulator, got {c_dtype}",
+            )
         self.count("brgemm_calls")
         a = self.emit_slice(stmt.a, squeeze_axes=tuple(a_axes))
         b = self.emit_slice(stmt.b, squeeze_axes=tuple(b_axes))
         c = self.emit_slice(stmt.c, squeeze_axes=tuple(c_axes))
-        acc = self.bind("dt", acc_dtype)
         self.emit(f"_ba = {a}")
         self.emit(f"_bb = {b}")
         self.emit(f"_bc = {c}")
         kernel = [
-            # One pass makes the operands contiguous *and* widens int8
-            # to the accumulator dtype; einsum output is already wide.
-            f"_p = _einsum({subscripts!r}, _contig(_ba, dtype={acc}), "
-            f"_contig(_bb, dtype={acc}))",
+            f"_p = _brgemm_partial(_ba, _bb, {stmt.b_transposed!r})",
             "_bc[...] = _p" if stmt.initialize else "_bc += _p",
         ]
         self.emit("if _tr is None:")

@@ -530,9 +530,7 @@ class Interpreter:
         tracer = self._tracer
         if not tracer.enabled:
             batch_reduce_gemm(
-                c,
-                np.ascontiguousarray(a),
-                np.ascontiguousarray(b),
+                c, a, b,
                 b_transposed=stmt.b_transposed,
                 initialize=stmt.initialize,
             )
@@ -540,9 +538,7 @@ class Interpreter:
         with tracer.span("brgemm", category="microkernel") as span:
             start = time.perf_counter()
             batch_reduce_gemm(
-                c,
-                np.ascontiguousarray(a),
-                np.ascontiguousarray(b),
+                c, a, b,
                 b_transposed=stmt.b_transposed,
                 initialize=stmt.initialize,
             )

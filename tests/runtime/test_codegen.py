@@ -17,6 +17,7 @@ import pytest
 
 from repro import CompilerOptions, DType, compile_graph
 from repro.errors import ExecutionError
+from repro.microkernel.brgemm import brgemm_partial
 from repro.microkernel.machine import XEON_8358
 from repro.runtime import (
     EXECUTOR_BACKENDS,
@@ -273,6 +274,27 @@ class TestCodegenUnit:
             assert messages[0] == messages[1]
             assert expected in messages[0]
 
+    def test_int8_brgemm_with_float_b_rejected_by_both_backends(self):
+        b = TirBuilder("f")
+        b.param("a", DType.s8, (1, 4, 8))
+        b.param("b", DType.f32, (1, 4, 8))
+        b.param("c", DType.s32, (4, 4))
+        b.brgemm(full_slice("c", (4, 4)), full_slice("a", (1, 4, 8)),
+                 full_slice("b", (1, 4, 8)), batch=1)
+        module = TirModule(entry="f")
+        module.add(b.finish())
+        buffers = {
+            "a": np.zeros((1, 4, 8), np.int8),
+            "b": np.zeros((1, 4, 8), np.float32),
+            "c": np.zeros((4, 4), np.int32),
+        }
+        messages = [
+            error_message(runner, module, dict(buffers))
+            for runner in (Interpreter, CodegenExecutor)
+        ]
+        assert messages[0] == messages[1]
+        assert "int8 B operand" in messages[0]
+
     def test_pooled_temporaries_are_rezeroed(self):
         b = TirBuilder("f")
         b.param("out", DType.f32, (4,))
@@ -300,6 +322,23 @@ class TestCodegenUnit:
         stats = CodegenExecutor(module).run({"x": x})
         assert stats.to_dict() == interp.stats.to_dict()
         assert np.all(x == 3.0)
+
+    def test_brgemm_global_is_the_microkernel(self):
+        """The emitted ``_brgemm_partial`` is the interpreter's kernel."""
+        partition = compile_graph(
+            build_mlp_graph("MLP_1", 16, DType.f32),
+            options=CompilerOptions(executor="codegen"),
+        )
+        executor = CodegenExecutor(partition.lowered.module)
+        partition.close()
+        callers = [
+            name for name, source in executor.sources.items()
+            if "_brgemm_partial(" in source
+        ]
+        assert callers
+        for name in callers:
+            bound = executor._fns[name].__globals__["_brgemm_partial"]
+            assert bound is brgemm_partial
 
     def test_dump_sources_writes_every_function(self, tmp_path):
         executor = CodegenExecutor(_fill_module())

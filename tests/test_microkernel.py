@@ -13,6 +13,26 @@ from repro.microkernel import (
     batch_reduce_gemm,
     brgemm_flops,
 )
+from repro.microkernel.brgemm import exact_chunk
+
+#: (A dtype, B dtype) of the int8 GEMMs: VNNI's u8 x s8 and the s8 x s8
+#: the MHA batch matmuls use.
+INT8_PAIRS = {"u8s8": (np.uint8, np.int8), "s8s8": (np.int8, np.int8)}
+
+
+def einsum_oracle(a, b, transposed):
+    """The definition of the kernel: int8 in int64, float in float32."""
+    if a.dtype.kind != "f":
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    return np.einsum("bmk,bnk->mn" if transposed else "bmk,bkn->mn", a, b)
+
+
+def blocked(flat, bs):
+    """``[rows, K]`` -> a ``[BS, rows, K/BS]`` batch of K-blocks."""
+    rows, k = flat.shape
+    return np.ascontiguousarray(
+        flat.reshape(rows, bs, k // bs).transpose(1, 0, 2)
+    )
 
 
 class TestBrgemm:
@@ -76,6 +96,12 @@ class TestBrgemm:
             )
 
     def test_dtype_errors(self):
+        with pytest.raises(ExecutionError, match="int8 B operand"):
+            batch_reduce_gemm(
+                np.zeros((4, 4), np.int32),
+                np.zeros((1, 4, 8), np.int8),
+                np.zeros((1, 4, 8), np.float32),
+            )
         with pytest.raises(ExecutionError, match="int32 accumulator"):
             batch_reduce_gemm(
                 np.zeros((4, 4), np.float32),
@@ -100,22 +126,96 @@ class TestBrgemm:
         st.integers(min_value=1, max_value=8),  # kb
         st.booleans(),
         st.booleans(),
+        st.sampled_from(["f32", *INT8_PAIRS]),
     )
-    def test_matches_einsum_oracle(self, bs, mb, nb, kb, transposed, init):
-        """brgemm == the einsum definition for any block geometry."""
+    def test_matches_einsum_oracle(
+        self, bs, mb, nb, kb, transposed, init, dtypes
+    ):
+        """brgemm == the einsum definition for any block geometry.
+
+        Float within rounding; int8 exactly (int32 accumulator).
+        """
         rng = np.random.RandomState(bs * 1000 + mb * 100 + nb * 10 + kb)
-        a = rng.rand(bs, mb, kb).astype(np.float32)
-        if transposed:
-            b = rng.rand(bs, nb, kb).astype(np.float32)
-            expected = np.einsum("bmk,bnk->mn", a, b)
+        b_shape = (bs, nb, kb) if transposed else (bs, kb, nb)
+        if dtypes == "f32":
+            a = rng.rand(bs, mb, kb).astype(np.float32)
+            b = rng.rand(*b_shape).astype(np.float32)
+            c = rng.rand(mb, nb).astype(np.float32)
         else:
-            b = rng.rand(bs, kb, nb).astype(np.float32)
-            expected = np.einsum("bmk,bkn->mn", a, b)
-        c = rng.rand(mb, nb).astype(np.float32)
+            a_dt, b_dt = INT8_PAIRS[dtypes]
+            a = rng.randint(np.iinfo(a_dt).min, np.iinfo(a_dt).max + 1,
+                            (bs, mb, kb)).astype(a_dt)
+            b = rng.randint(np.iinfo(b_dt).min, np.iinfo(b_dt).max + 1,
+                            b_shape).astype(b_dt)
+            c = rng.randint(-2**20, 2**20, (mb, nb)).astype(np.int32)
+        expected = einsum_oracle(a, b, transposed)
         if not init:
             expected = expected + c
         batch_reduce_gemm(c, a, b, b_transposed=transposed, initialize=init)
-        np.testing.assert_allclose(c, expected, rtol=1e-4, atol=1e-5)
+        if dtypes == "f32":
+            np.testing.assert_allclose(c, expected, rtol=1e-4, atol=1e-5)
+        else:
+            np.testing.assert_array_equal(c, expected)
+
+
+class TestExactInt8:
+    """int8 runs a float32 GEMM in K-chunks; every chunk must be exact."""
+
+    def test_chunk_bounds(self):
+        assert exact_chunk(np.uint8, np.int8) == 514
+        assert exact_chunk(np.int8, np.int8) == 1024
+        assert exact_chunk(np.uint8, np.uint8) == 258
+
+    # (pair, K, BS): worst-case magnitudes at the chunk bound and one
+    # past it, with K spread over several batches so chunk edges fall
+    # inside blocks (515 = 5 x 103) and between them (1028 = 4 x 257,
+    # 2048 = 2 x 1024).
+    @pytest.mark.parametrize(
+        "pair,k,bs",
+        [
+            ("u8s8", 514, 1), ("u8s8", 514, 2), ("u8s8", 514, 257),
+            ("u8s8", 515, 1), ("u8s8", 515, 5), ("u8s8", 515, 103),
+            ("u8s8", 1028, 4),
+            ("s8s8", 1024, 1), ("s8s8", 1024, 4), ("s8s8", 1024, 64),
+            ("s8s8", 1025, 1), ("s8s8", 1025, 5), ("s8s8", 1025, 41),
+            ("s8s8", 2048, 2),
+        ],
+    )
+    @pytest.mark.parametrize("transposed", [True, False])
+    def test_worst_case_operands_exact(self, pair, k, bs, transposed):
+        a_dt, b_dt = INT8_PAIRS[pair]
+        a_val = 255 if a_dt == np.uint8 else -128
+        a = blocked(np.full((3, k), a_val, a_dt), bs)
+        b = blocked(np.full((5, k), -128, b_dt), bs)
+        if not transposed:
+            b = np.ascontiguousarray(b.transpose(0, 2, 1))
+        c = np.zeros((3, 5), np.int32)
+        batch_reduce_gemm(c, a, b, b_transposed=transposed, initialize=True)
+        np.testing.assert_array_equal(c, einsum_oracle(a, b, transposed))
+
+    # (K as a function of the chunk, BS): one past the bound catches a
+    # chunk one too long, three chunks a missing chunk loop.
+    @pytest.mark.parametrize(
+        "k_of,bs",
+        [((1, 1), 1), ((1, 1), 5), ((3, 0), 1), ((3, 0), 3)],
+    )
+    @pytest.mark.parametrize("pair", sorted(INT8_PAIRS))
+    def test_sums_past_2_pow_24_exact(self, pair, k_of, bs):
+        """A sum of odd magnitude past 2**24: a float32 GEMM over more than
+        one chunk rounds it, the chunked kernel does not."""
+        a_dt, b_dt = INT8_PAIRS[pair]
+        times, extra = k_of
+        k = times * exact_chunk(a_dt, b_dt) + extra
+        a = np.full((2, k), 255 if a_dt == np.uint8 else -128, a_dt)
+        b = np.full((4, k), -128, b_dt)
+        a[:, -1] = 255 if a_dt == np.uint8 else -127  # odd x odd
+        b[:, -1] = -127
+        a, b = blocked(a, bs), blocked(b, bs)
+        expected = einsum_oracle(a, b, True)
+        assert np.float32(expected[0, 0]) != expected[0, 0]
+        c = np.zeros((2, 4), np.int32)
+        batch_reduce_gemm(c, a, b, initialize=True)
+        np.testing.assert_array_equal(c, expected)
 
 
 class TestMachineModel:

@@ -45,6 +45,19 @@ class TestDumpTool:
             source = path.read_text()
             assert "generated by repro.runtime.codegen" in source
 
+    @pytest.mark.parametrize("dtype", ["f32", "int8"])
+    def test_emitted_brgemm_calls_the_shared_kernel(self, tmp_path, dtype):
+        """Every emitted brgemm calls the microkernel's ``brgemm_partial``
+        (bound as a global; see test_codegen), never an einsum."""
+        target = tmp_path / "codegen-src"
+        assert main(
+            ["--workload", "MLP_1", "--batch", "32", "--dtype", dtype,
+             "--emit-codegen", str(target)]
+        ) == 0
+        source = "".join(p.read_text() for p in sorted(target.glob("*.py")))
+        assert "_p = _brgemm_partial(_ba, _bb, " in source
+        assert "einsum" not in source
+
     def test_bad_matmul_spec(self):
         with pytest.raises(SystemExit):
             main(["--matmul", "64by64"])
