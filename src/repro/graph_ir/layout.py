@@ -1,11 +1,13 @@
 """Tensor memory layouts: plain (row-major) and blocked.
 
 The paper's templates require operand tensors in a *blocked* layout so each
-microkernel invocation reads a contiguous ``[MB, KB]`` / ``[NB, KB]`` buffer:
+microkernel invocation reads contiguous blocks.  With ``KF = BS * KB`` (the
+reduce batch folded into K, see :mod:`repro.microkernel.brgemm`):
 
-* ``A[M, K]``  ->  ``A'[M/MB, K/KB, MB, KB]``
-* ``B[K, N]``  ->  ``B'[K/KB, N/NB, NB, KB]``   (note the swapped inner dims)
-* ``C[M, N]``  ->  ``C'[M/MB, N/NB, MB, NB]``
+* ``A[M, K]``  ->  ``A'[M/MB, K/KF, MB, KF]``
+* ``B[K, N]``  ->  ``B'[K/KF, N/NB, NB, KF]``   (note the swapped inner dims)
+* ``C[M, N]``  ->  ``C'[M/MB, N/NB, MB, NB]`` (``NB`` times the consuming
+  matmul's BS when the output is that matmul's A)
 
 A layout is described oneDNN-style by a permutation of the logical axes for
 the outer dimensions plus an ordered list of ``(axis, block_size)`` inner

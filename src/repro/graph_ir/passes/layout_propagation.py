@@ -7,10 +7,16 @@ For every Tunable OP (matmul), this pass
 3. negotiates blocked layouts between chained matmuls: a consumer queries
    its desired blocked layouts, and if the producer's output blocking is
    acceptable (within a cost tolerance), the intermediate tensor stays
-   blocked end-to-end with no reorder — otherwise the consumer packs its
-   input itself (fused reorder pre-op), and
-4. inserts reorder ops for constant weights, which constant-weight
-   preprocessing later moves into the one-time init function.
+   blocked end-to-end with no reorder — the producer writes it directly
+   in the consumer's folded A layout ``[M/MB, K/(BS*KB), MB, BS*KB]`` —
+   otherwise the consumer packs its input itself (fused reorder pre-op),
+   and
+4. inserts reorder ops for constant weights into the folded B layout
+   ``[K/(BS*KB), N/NB, NB, BS*KB]``, which constant-weight preprocessing
+   later moves into the one-time init function.
+
+Every blocked operand thus reaches the microkernel as one contiguous
+``[MB|NB, BS*KB]`` block per call, written once by its producer.
 
 Graph inputs and outputs always keep plain layouts, as in the paper.
 """
@@ -61,9 +67,11 @@ def matmul_geometry(op: Op):
 def weight_blocked_layout(
     kb: int, nb: int, transposed: bool, ndims: int = 2
 ) -> BlockedLayout:
-    """The B-operand layout ``[K/KB, N/NB, NB, KB]`` on a weight tensor.
+    """The B-operand layout ``[K/kb, N/NB, NB, kb]`` on a weight tensor.
 
-    ``transposed`` means the logical weight is stored ``[n, k]``
+    Templates pass ``kb = BS * KB`` (``MatmulParams.kfold``): each
+    ``[NB, BS*KB]`` block is the contiguous B operand of one microkernel
+    call.  ``transposed`` means the logical weight is stored ``[n, k]``
     (``transpose_b=True``); the physical layout is identical either way.
     """
     k_axis, n_axis = (ndims - 1, ndims - 2) if transposed else (ndims - 2, ndims - 1)
@@ -330,13 +338,14 @@ class LayoutPropagationPass(GraphPass):
                     forced, dtype, ctx.machine, original_sizes=(m, n, k)
                 ).total_cycles
                 if forced_cost <= LAYOUT_MATCH_TOLERANCE * best_cost:
-                    # Producer keeps its output blocked; no reorder at all.
+                    # Producer writes its output in this op's folded A
+                    # layout [MB, BS*KB]; no reorder at all.
                     a.layout = blocked_2d(
-                        forced.mb, forced.kb, ndims=a.ndims
+                        forced.mb, forced.kfold, ndims=a.ndims
                     )
                     ctx.note(
                         f"layout: {op.name} consumes {producer.name} output "
-                        f"blocked ({forced.mb}x{forced.kb})"
+                        f"blocked ({forced.mb}x{forced.kfold})"
                     )
                     return forced, OperandMode.BLOCKED
         # Fall back: plain input, packed by this op.  Even without a shared
@@ -403,7 +412,7 @@ class LayoutPropagationPass(GraphPass):
         if not b.is_constant:
             return OperandMode.PACK_FULL
         layout = weight_blocked_layout(
-            params.kb, params.nb, transposed, ndims=b.ndims
+            params.kfold, params.nb, transposed, ndims=b.ndims
         )
         # Pad the logical dims to the template's grid (parallel-split
         # padding can exceed plain block-multiple padding).

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..errors import ExecutionError, TensorIRError
 from ..graph_ir.op_registry import OP_REGISTRY
-from ..microkernel.brgemm import brgemm_partial
+from ..microkernel.brgemm import brgemm_partial, operand_error
 from ..observability import get_tracer
 from ..tensor_ir.expr import Binary, BinaryOp, Const, Expr, Var, fold
 from ..tensor_ir.function import TirFunction
@@ -913,7 +913,9 @@ class _FunctionEmitter:
             f".transpose({perm!r})"
         )
         body.append(f"_d = {dst}")
-        body.append("_d[...] = _b.reshape(_d.shape).astype(_d.dtype)")
+        body.append(
+            "_d[...] = _b.reshape(_d.shape).astype(_d.dtype, copy=False)"
+        )
         span = (
             f"_tr.span('pack', category='runtime', "
             f"tensor={stmt.dst.tensor!r}, blocks={f'{b1}x{b2}'!r})"
@@ -964,59 +966,16 @@ class _FunctionEmitter:
         self._emit_traced_body(body, span)
 
     def _emit_brgemm(self, stmt: BrgemmCall) -> None:
-        a_axes, a_shape = _static_squeeze(stmt.a.sizes, 3, "brgemm A")
-        b_axes, b_shape = _static_squeeze(stmt.b.sizes, 3, "brgemm B")
+        a_axes, a_shape = _static_squeeze(stmt.a.sizes, 2, "brgemm A")
+        b_axes, b_shape = _static_squeeze(stmt.b.sizes, 2, "brgemm B")
         c_axes, c_shape = _static_squeeze(stmt.c.sizes, 2, "brgemm C")
-        if a_shape[0] != stmt.batch:
-            raise _SpecializationError(
-                ExecutionError,
-                f"brgemm batch {stmt.batch} but A batch dim is "
-                f"{a_shape[0]}",
-            )
-        if a_shape[0] != b_shape[0]:
-            raise _SpecializationError(
-                ExecutionError,
-                f"brgemm batch mismatch: a has {a_shape[0]}, b has "
-                f"{b_shape[0]}",
-            )
-        mb, kb = a_shape[1], a_shape[2]
-        nb, kb_b = (
-            (b_shape[1], b_shape[2])
-            if stmt.b_transposed
-            else (b_shape[2], b_shape[1])
-        )
-        if kb != kb_b:
-            raise _SpecializationError(
-                ExecutionError,
-                f"brgemm K mismatch: a blocks [{mb},{kb}], b blocks "
-                f"{'[NB,KB]' if stmt.b_transposed else '[KB,NB]'}="
-                f"{[b_shape[1], b_shape[2]]}",
-            )
-        if c_shape != (mb, nb):
-            raise _SpecializationError(
-                ExecutionError,
-                f"brgemm accumulator shape {c_shape} != ({mb}, {nb})",
-            )
         a_dtype = self.dtypes[stmt.a.tensor]
-        c_dtype = self.dtypes[stmt.c.tensor]
-        if a_dtype in (np.int8, np.uint8):
-            b_dtype = self.dtypes[stmt.b.tensor]
-            if b_dtype not in (np.int8, np.uint8):
-                raise _SpecializationError(
-                    ExecutionError,
-                    f"int8 brgemm needs an int8 B operand, got {b_dtype}",
-                )
-            if c_dtype != np.int32:
-                raise _SpecializationError(
-                    ExecutionError,
-                    f"int8 brgemm needs an int32 accumulator, got "
-                    f"{c_dtype}",
-                )
-        elif c_dtype != np.float32:
-            raise _SpecializationError(
-                ExecutionError,
-                f"float brgemm needs a float32 accumulator, got {c_dtype}",
-            )
+        error = operand_error(
+            a_shape, b_shape, c_shape, stmt.batch, a_dtype,
+            self.dtypes[stmt.b.tensor], self.dtypes[stmt.c.tensor],
+        )
+        if error:
+            raise _SpecializationError(ExecutionError, error)
         self.count("brgemm_calls")
         a = self.emit_slice(stmt.a, squeeze_axes=tuple(a_axes))
         b = self.emit_slice(stmt.b, squeeze_axes=tuple(b_axes))
@@ -1025,7 +984,7 @@ class _FunctionEmitter:
         self.emit(f"_bb = {b}")
         self.emit(f"_bc = {c}")
         kernel = [
-            f"_p = _brgemm_partial(_ba, _bb, {stmt.b_transposed!r})",
+            "_p = _brgemm_partial(_ba, _bb)",
             "_bc[...] = _p" if stmt.initialize else "_bc += _p",
         ]
         self.emit("if _tr is None:")
@@ -1038,9 +997,12 @@ class _FunctionEmitter:
         self.emit("        _t0 = _pc()")
         for line in kernel:
             self.emit("        " + line)
+        (mb, k), nb = a_shape, b_shape[0]
+        blocks = (mb, nb, k // stmt.batch, stmt.batch)
+        dt = self.bind("dt", a_dtype)
         self.emit(
-            f"        _sp.set(**_bca(_ctx.machine, _ba, _bc, "
-            f"{stmt.batch}, _pc() - _t0))"
+            f"        _sp.set(**_bca(_ctx.machine, {dt}, {blocks!r}, "
+            f"_pc() - _t0))"
         )
 
     def _emit_call(self, stmt: Call) -> None:

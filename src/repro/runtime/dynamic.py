@@ -88,9 +88,9 @@ def concrete_shape(
 def squeeze_to(array: np.ndarray, ndim: int, what: str) -> np.ndarray:
     """Drop length-1 dims (leftmost first) until ``ndim`` dims remain.
 
-    Slices like ``B'[ksi:BS, npsi:1, 0:NB, 0:KB]`` resolve to views with
-    interior length-1 dims; squeezing them recovers the dense
-    ``[BS, NB, KB]`` batch the microkernel consumes.
+    Slices like ``B'[ksi:1, npsi:1, 0:NB, 0:BS*KB]`` resolve to views
+    with length-1 dims; squeezing them recovers the dense ``[NB, BS*KB]``
+    block the microkernel consumes.
     """
     while array.ndim > ndim:
         for axis, extent in enumerate(array.shape):
@@ -153,7 +153,7 @@ def run_pack(
             f"pack destination has {dst.size} elements, "
             f"blocks have {blocks.size}"
         )
-    dst[...] = blocks.reshape(dst.shape).astype(dst.dtype)
+    dst[...] = blocks.reshape(dst.shape).astype(dst.dtype, copy=False)
 
 
 def run_unpack(

@@ -19,7 +19,7 @@ import numpy as np
 from ..dtypes import from_numpy
 from ..errors import ExecutionError, TensorIRError
 from ..graph_ir.op_registry import OP_REGISTRY
-from ..microkernel.brgemm import batch_reduce_gemm
+from ..microkernel.brgemm import brgemm_partial, operand_error
 from ..observability import get_tracer
 from ..tensor_ir.expr import Expr, evaluate
 from ..tensor_ir.function import TirFunction
@@ -96,9 +96,11 @@ class ExecutionStats:
         }
 
 
-def brgemm_cost_attrs(machine, a, c, batch: int, wall: float) -> Dict:
+def brgemm_cost_attrs(machine, dtype, blocks, wall: float) -> Dict:
     """Reconcile one brgemm call: cost-descriptor cycles vs wall time.
 
+    ``blocks`` is the call's ``(MB, NB, KB, BS)``, taken from the
+    :class:`BrgemmCall` (its operands hold BS blocks folded into one).
     ``modeled_cycles`` charges the MAC count at the efficiency the
     template cost model predicts for these block sizes;
     ``measured_cycles`` converts the measured wall time at the machine's
@@ -107,8 +109,7 @@ def brgemm_cost_attrs(machine, a, c, batch: int, wall: float) -> Dict:
     shows where the descriptor is optimistic.  Shared by both runtime
     backends so their microkernel spans are indistinguishable.
     """
-    mb, nb = c.shape
-    kb = a.shape[2]
+    mb, nb, kb, batch = blocks
     attrs: Dict = {
         "blocks": f"{mb}x{nb}x{kb}x{batch}",
         "measured_us": wall * 1e6,
@@ -116,7 +117,7 @@ def brgemm_cost_attrs(machine, a, c, batch: int, wall: float) -> Dict:
     if machine is None:
         return attrs
     try:
-        dtype = from_numpy(a.dtype)
+        dtype = from_numpy(dtype)
         from ..templates.cost_model import microkernel_efficiency
 
         efficiency = microkernel_efficiency(mb, nb, kb, batch, dtype, machine)
@@ -520,33 +521,35 @@ class Interpreter:
     def _exec_brgemm(self, stmt: BrgemmCall, frame: _Frame) -> None:
         with self._stats_lock:
             self.stats.brgemm_calls += 1
-        a = self._squeeze_to(self._view(stmt.a, frame), 3, "brgemm A")
-        b = self._squeeze_to(self._view(stmt.b, frame), 3, "brgemm B")
+        a = self._squeeze_to(self._view(stmt.a, frame), 2, "brgemm A")
+        b = self._squeeze_to(self._view(stmt.b, frame), 2, "brgemm B")
         c = self._squeeze_to(self._view(stmt.c, frame), 2, "brgemm C")
-        if a.shape[0] != stmt.batch:
-            raise ExecutionError(
-                f"brgemm batch {stmt.batch} but A batch dim is {a.shape[0]}"
-            )
+        error = operand_error(
+            a.shape, b.shape, c.shape, stmt.batch, a.dtype, b.dtype, c.dtype
+        )
+        if error:
+            raise ExecutionError(error)
         tracer = self._tracer
         if not tracer.enabled:
-            batch_reduce_gemm(
-                c, a, b,
-                b_transposed=stmt.b_transposed,
-                initialize=stmt.initialize,
-            )
+            self._run_brgemm(stmt, a, b, c)
             return
         with tracer.span("brgemm", category="microkernel") as span:
             start = time.perf_counter()
-            batch_reduce_gemm(
-                c, a, b,
-                b_transposed=stmt.b_transposed,
-                initialize=stmt.initialize,
-            )
+            self._run_brgemm(stmt, a, b, c)
             wall = time.perf_counter() - start
-            span.set(**self._brgemm_cost_attrs(a, c, stmt.batch, wall))
+            mb, k = a.shape
+            blocks = (mb, b.shape[0], k // stmt.batch, stmt.batch)
+            span.set(
+                **brgemm_cost_attrs(self.machine, a.dtype, blocks, wall)
+            )
 
-    def _brgemm_cost_attrs(self, a, c, batch: int, wall: float) -> Dict:
-        return brgemm_cost_attrs(self.machine, a, c, batch, wall)
+    @staticmethod
+    def _run_brgemm(stmt: BrgemmCall, a, b, c) -> None:
+        partial = brgemm_partial(a, b)
+        if stmt.initialize:
+            c[...] = partial
+        else:
+            c += partial
 
     def _exec_call(self, stmt: Call, frame: _Frame) -> None:
         with self._stats_lock:

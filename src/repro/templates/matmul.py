@@ -7,7 +7,10 @@ anchors (Figures 3 and 4):
 * outer parallel loops split the kernel into ``MPN x NPN`` single-core
   kernels (times the flattened batch for batched matmuls);
 * the single-core kernel iterates ``msi / ksi / nsi`` and calls the
-  batch-reduce GEMM microkernel on ``[MB, KB] x [NB, KB]`` blocks;
+  batch-reduce GEMM microkernel on BS ``[MB, KB] x [NB, KB]`` block pairs,
+  stored folded in K as one ``[MB, BS*KB]`` and one ``[NB, BS*KB]`` block
+  (``MatmulParams.kfold``), so every blocked operand and chained output
+  is written once in the layout the kernel reads;
 * pre-op anchor #4 packs plain-layout A slices into blocked slabs just
   before use (the fused reorder of Figure 4);
 * post-op anchor #1 applies the element-wise post-op group per row of C
@@ -105,6 +108,8 @@ class _MatmulTemplate:
         #: count and every inner slice keeps static sizes.
         self.dyn_m = is_symbolic(self.problem.m)
         self.dyn_batch = any(is_symbolic(d) for d in self.problem.batch_dims)
+        #: N block of a blocked output (0: plain output).
+        self.c_block_n = self._out_block_n()
         self._validate()
 
     @property
@@ -194,19 +199,19 @@ class _MatmulTemplate:
         if fused.a_mode is OperandMode.BLOCKED:
             a_shape = prob.batch_dims + (
                 p.m // p.mb,
-                p.k // p.kb,
+                p.k // p.kfold,
                 p.mb,
-                p.kb,
+                p.kfold,
             )
         else:
             a_shape = fused.a.shape
         self._add_param(fused.a, a_shape)
         if fused.b_mode is OperandMode.BLOCKED:
             b_shape = fused.b.shape[:-2] + (
-                p.k // p.kb,
+                p.k // p.kfold,
                 p.n // p.nb,
                 p.nb,
-                p.kb,
+                p.kfold,
             )
         else:
             b_shape = fused.b.shape
@@ -214,12 +219,12 @@ class _MatmulTemplate:
         for tensor in fused.external_inputs()[2:]:
             self._add_param(tensor, tensor.shape)
         out = fused.output
-        if self._out_blocked():
+        if self.c_block_n:
             c_shape = prob.batch_dims + (
                 p.m // p.mb,
-                p.n // p.nb,
+                p.n // self.c_block_n,
                 p.mb,
-                p.nb,
+                self.c_block_n,
             )
         else:
             c_shape = out.shape
@@ -233,13 +238,25 @@ class _MatmulTemplate:
         self.arg_names[tensor.id] = name
         return name
 
-    def _out_blocked(self) -> bool:
-        layout = self.fused.output.layout
-        ndims = layout.ndims
-        return layout.inner_blocks == (
-            (ndims - 2, self.params.mb),
-            (ndims - 1, self.params.nb),
-        )
+    def _out_block_n(self) -> int:
+        """N block of a blocked output, or 0 when the output is plain.
+
+        A chained consumer reads this output as its A operand folded in
+        K, so the block is ``g * NB`` (g = the consumer's BS): each
+        ``[MB, NB]`` block lands at column ``(npsi % g) * NB`` of block
+        ``npsi // g``.
+        """
+        p = self.params
+        ndims = self.fused.output.layout.ndims
+        inner = self.fused.output.layout.inner_blocks
+        if (
+            len(inner) == 2
+            and inner[0] == (ndims - 2, p.mb)
+            and inner[1][0] == ndims - 1
+            and inner[1][1] % p.nb == 0
+        ):
+            return inner[1][1]
+        return 0
 
     # -- build --------------------------------------------------------------------
 
@@ -275,7 +292,7 @@ class _MatmulTemplate:
         blocked = self.b.alloc(
             "A_blk",
             fused.a.dtype,
-            prob.batch_dims + (self.m_blocks, p.k // p.kb, p.mb, p.kb),
+            prob.batch_dims + (self.m_blocks, p.k // p.kfold, p.mb, p.kfold),
         )
         if fused.a_mode is OperandMode.PACK_SLICE:
             # Packed inside the ksi loop (pre-op anchor #4); the full-size
@@ -283,9 +300,9 @@ class _MatmulTemplate:
             return blocked
         self._emit_full_pack(
             dst=blocked,
-            dst_block_dims=(self.m_blocks, p.k // p.kb, p.mb, p.kb),
+            dst_block_dims=(self.m_blocks, p.k // p.kfold, p.mb, p.kfold),
             src_tensor=fused.a,
-            block_sizes=(p.mb, p.kb),
+            block_sizes=(p.mb, p.kfold),
             swap_inner=False,
             transpose_src=fused.transpose_a,
         )
@@ -303,13 +320,13 @@ class _MatmulTemplate:
         blocked = self.b.alloc(
             "B_blk",
             fused.b.dtype,
-            b_batch + (p.k // p.kb, p.n // p.nb, p.nb, p.kb),
+            b_batch + (p.k // p.kfold, p.n // p.nb, p.nb, p.kfold),
         )
         self._emit_full_pack(
             dst=blocked,
-            dst_block_dims=(p.k // p.kb, p.n // p.nb, p.nb, p.kb),
+            dst_block_dims=(p.k // p.kfold, p.n // p.nb, p.nb, p.kfold),
             src_tensor=fused.b,
-            block_sizes=(p.kb, p.nb),
+            block_sizes=(p.kfold, p.nb),
             swap_inner=True,
             transpose_src=fused.transpose_b,
         )
@@ -319,7 +336,7 @@ class _MatmulTemplate:
         """Output write target; True when a final crop copy is needed."""
         p, prob = self.params, self.problem
         out = self.fused.output
-        if self._out_blocked():
+        if self.c_block_n:
             if self.dyn_m:
                 raise LoweringError(
                     f"{self.b.func.name}: dynamic m cannot write a blocked "
@@ -574,21 +591,22 @@ class _MatmulTemplate:
                 "C_acc", self.acc_dtype, (p.nsn, p.mb, p.nb), thread_local=True
             )
             self.b.fill(SliceRef(acc, (0, 0, 0), (p.nsn, p.mb, p.nb)), 0.0)
-            with self.b.for_("ksi", p.ksn, step=p.bs) as ksi:
+            # ksi counts folded K blocks: one brgemm call (BS K-blocks) each.
+            with self.b.for_("ksi", p.ksn // p.bs) as ksi:
                 if self.fused.a_mode is OperandMode.PACK_SLICE:
                     # Pre-op anchor #4: pack the slab about to be consumed.
                     self.b.pack(
                         dst=SliceRef(
                             self.a_buf,
                             bpfx + (mpsi, ksi, 0, 0),
-                            ones + (1, p.bs, p.mb, p.kb),
+                            ones + (1, 1, p.mb, p.kfold),
                         ),
                         src=SliceRef(
                             self.arg_names[self.fused.a.id],
-                            bpfx + (mpsi * p.mb, ksi * p.kb),
-                            ones + (p.mb, p.bs * p.kb),
+                            bpfx + (mpsi * p.mb, ksi * p.kfold),
+                            ones + (p.mb, p.kfold),
                         ),
-                        block_sizes=(p.mb, p.kb),
+                        block_sizes=(p.mb, p.kfold),
                     )
                 with self.b.for_("nsi", p.nsn) as nsi:
                     npsi = self.b.let("npsi", npi * p.nsn + nsi)
@@ -620,12 +638,12 @@ class _MatmulTemplate:
             a=SliceRef(
                 self.a_buf,
                 bpfx + (mpsi, ksi, 0, 0),
-                ones + (1, p.bs, p.mb, p.kb),
+                ones + (1, 1, p.mb, p.kfold),
             ),
             b=SliceRef(
                 self.b_buf,
                 b_bpfx + (ksi, npsi, 0, 0),
-                (1,) * len(b_bpfx) + (p.bs, 1, p.nb, p.kb),
+                (1,) * len(b_bpfx) + (1, 1, p.nb, p.kfold),
             ),
             batch=p.bs,
         )
@@ -824,10 +842,16 @@ class _MatmulTemplate:
                 bpfx + (mpsi, npsi, 0, 0),
                 ones + (1, 1, p.mb, p.nb),
             )
-        if self._out_blocked():
+        group = self.c_block_n // p.nb
+        if group:
+            block, col = (
+                (npsi, 0)
+                if group == 1
+                else (npsi // group, (npsi % group) * p.nb)
+            )
             dst = SliceRef(
                 self.c_target,
-                bpfx + (mpsi, npsi, 0, 0),
+                bpfx + (mpsi, block, 0, col),
                 ones + (1, 1, p.mb, p.nb),
             )
         else:
@@ -844,15 +868,15 @@ class _MatmulTemplate:
         p = self.params
         ones = (1,) * len(bpfx)
         src = SliceRef(row_buf, bpfx + (mpsi, 0, 0), ones + (1, p.mb, cols))
-        if self._out_blocked():
+        if self.c_block_n:
             self.b.pack(
                 dst=SliceRef(
                     self.c_target,
                     bpfx + (mpsi, 0, 0, 0),
-                    ones + (1, p.n // p.nb, p.mb, p.nb),
+                    ones + (1, p.n // self.c_block_n, p.mb, self.c_block_n),
                 ),
                 src=src,
-                block_sizes=(p.mb, p.nb),
+                block_sizes=(p.mb, self.c_block_n),
             )
         else:
             dst = SliceRef(
@@ -948,8 +972,10 @@ class _MatmulTemplate:
                         self.b.fill(
                             SliceRef(acc, (0, 0, 0), (p.nsn, p.mb, p.nb)), 0.0
                         )
-                        with self.b.for_("ksi", p.ksn, step=p.bs) as ksi:
-                            kpsi = self.b.let("kpsi", kpi * p.ksn + ksi)
+                        with self.b.for_("ksi", p.ksn // p.bs) as ksi:
+                            kpsi = self.b.let(
+                                "kpsi", kpi * (p.ksn // p.bs) + ksi
+                            )
                             with self.b.for_("nsi", p.nsn) as nsi:
                                 npsi = self.b.let("npsi", npi * p.nsn + nsi)
                                 self.b.brgemm(
@@ -959,12 +985,12 @@ class _MatmulTemplate:
                                     a=SliceRef(
                                         self.a_buf,
                                         (mpsi, kpsi, 0, 0),
-                                        (1, p.bs, p.mb, p.kb),
+                                        (1, 1, p.mb, p.kfold),
                                     ),
                                     b=SliceRef(
                                         self.b_buf,
                                         (kpsi, npsi, 0, 0),
-                                        (p.bs, 1, p.nb, p.kb),
+                                        (1, 1, p.nb, p.kfold),
                                     ),
                                     batch=p.bs,
                                 )

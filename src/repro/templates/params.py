@@ -124,6 +124,16 @@ class MatmulParams:
         return self.k // (self.kb * self.kpn)
 
     @property
+    def kfold(self) -> int:
+        """Physical K block of every brgemm operand: ``BS * KB``.
+
+        One microkernel call reduces BS K-blocks; storing them side by
+        side in K lets it read ``[MB, BS*KB]`` and ``[NB, BS*KB]``
+        contiguously (see :mod:`repro.microkernel.brgemm`).
+        """
+        return self.bs * self.kb
+
+    @property
     def mpsn(self) -> int:
         """Microkernels along m in the multi-core kernel: MPSN = MSN * MPN."""
         return self.msn * self.mpn

@@ -151,7 +151,6 @@ class TirBuilder:
         a: SliceRef,
         b: SliceRef,
         batch: int,
-        b_transposed: bool = True,
         initialize: bool = False,
     ) -> None:
         self.emit(
@@ -160,7 +159,6 @@ class TirBuilder:
                 a=a,
                 b=b,
                 batch=batch,
-                b_transposed=b_transposed,
                 initialize=initialize,
             )
         )

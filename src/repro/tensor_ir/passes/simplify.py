@@ -90,7 +90,6 @@ def _fold_stmt(stmt):
             a=fold_slice(stmt.a),
             b=fold_slice(stmt.b),
             batch=stmt.batch,
-            b_transposed=stmt.b_transposed,
             initialize=stmt.initialize,
         )
     return stmt

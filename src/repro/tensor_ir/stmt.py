@@ -215,17 +215,17 @@ class Unpack(Stmt):
 class BrgemmCall(Stmt):
     """Intrinsic call to the batch-reduce GEMM microkernel.
 
-    Computes ``c += sum_b a[b] @ op(b[b])`` over ``batch`` block pairs.
-    ``a`` has slice shape ``[BS, MB, KB]``; ``b`` has ``[BS, NB, KB]`` when
-    ``b_transposed`` (the blocked B layout) or ``[BS, KB, NB]`` otherwise.
-    ``c`` has ``[MB, NB]`` and must be an accumulator in the fastest cache.
+    Computes ``c += sum_b a[b] @ b[b].T`` over ``batch`` block pairs.  The
+    pairs are stored folded in K: ``a`` squeezes to one ``[MB, BS*KB]``
+    block and ``b`` to one ``[NB, BS*KB]`` block (length-1 dims dropped),
+    so the kernel reads both as they are.  ``c`` has ``[MB, NB]`` and must
+    be an accumulator in the fastest cache.
     """
 
     c: SliceRef
     a: SliceRef
     b: SliceRef
     batch: int
-    b_transposed: bool = True
     initialize: bool = False  # True: c = ..., False: c += ...
 
 

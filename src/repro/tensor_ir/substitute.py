@@ -140,7 +140,6 @@ def rewrite_stmt(
             a=_sub_slice(stmt.a, var_map, tensor_map),
             b=_sub_slice(stmt.b, var_map, tensor_map),
             batch=stmt.batch,
-            b_transposed=stmt.b_transposed,
             initialize=stmt.initialize,
         )
     if isinstance(stmt, Call):

@@ -79,6 +79,61 @@ class TestMatmulSpec:
         assert dtype == DType.f32
 
 
+class TestInt8MatmulOracle:
+    """The int8 matmul reference: an exact integer GEMM of its own."""
+
+    @staticmethod
+    def oracle(a, b, **attrs):
+        return get_schema("matmul").reference([a, b], attrs)[0]
+
+    @staticmethod
+    def einsum(a, b):
+        return np.einsum(
+            "...mk,...kn->...mn", a.astype(np.int64), b.astype(np.int64)
+        )
+
+    @pytest.mark.parametrize(
+        "a_dtype,a_val,k",
+        [
+            # Largest |A x B| products; 65536 x 255 x 128 is the largest
+            # such sum int32 holds.
+            (np.uint8, 255, 65536),
+            (np.int8, -128, 65536),
+            (np.uint8, 255, 4097),
+        ],
+    )
+    def test_worst_case_operands_exact(self, a_dtype, a_val, k):
+        a = np.full((3, k), a_val, a_dtype)
+        b = np.full((k, 2), -128, np.int8)
+        a[:, -1] = 255 if a_dtype == np.uint8 else -127  # odd x odd:
+        b[-1, :] = -127  # an odd sum past 2**24
+        got = self.oracle(a, b)
+        want = self.einsum(a, b)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+        # float32 could not have held it: the oracle is not a float32 GEMM.
+        assert np.float32(want[0, 0]) != want[0, 0]
+
+    def test_batched_transposed_operands(self):
+        rng = np.random.RandomState(0)
+        a = rng.randint(-128, 128, (2, 3, 5, 700)).astype(np.int8)
+        b = rng.randint(-128, 128, (2, 3, 4, 700)).astype(np.int8)
+        got = self.oracle(a, b, transpose_b=True)
+        np.testing.assert_array_equal(got, self.einsum(a, b.swapaxes(-1, -2)))
+
+    def test_independent_of_the_microkernel(self, monkeypatch):
+        """The oracle checks the kernel; it must not run it."""
+        from repro.microkernel import brgemm
+
+        def fail(*args):
+            raise AssertionError("oracle called the microkernel")
+
+        monkeypatch.setattr(brgemm, "brgemm_partial", fail)
+        a = np.full((2, 600), 255, np.uint8)
+        b = np.full((600, 3), -128, np.int8)
+        np.testing.assert_array_equal(self.oracle(a, b), self.einsum(a, b))
+
+
 class TestElementwiseKernels:
     @pytest.mark.parametrize(
         "kind,fn",

@@ -49,7 +49,8 @@ class TestLoopNestStructure:
         assert any(v.startswith("msi") for v in serial)
 
     def test_brgemm_slice_shapes(self):
-        """The microkernel consumes [1, BS, MB, KB] x [BS, 1, NB, KB]."""
+        """The microkernel consumes BS blocks folded in K:
+        [1, 1, MB, BS*KB] x [1, 1, NB, BS*KB]."""
         partition = compile_matmul_relu()
         func = fused_function(partition)
         params = func.attrs.get("params") or list(
@@ -59,8 +60,8 @@ class TestLoopNestStructure:
         assert calls, "no brgemm call generated"
         for call in calls:
             assert call.batch == params.bs
-            assert call.a.sizes[-2:] == (params.mb, params.kb)
-            assert call.b.sizes[-2:] == (params.nb, params.kb)
+            assert call.a.sizes == (1, 1, params.mb, params.bs * params.kb)
+            assert call.b.sizes == (1, 1, params.nb, params.bs * params.kb)
             assert call.c.sizes[-2:] == (params.mb, params.nb)
 
     def test_post_op_after_k_loop(self):
@@ -86,7 +87,8 @@ class TestLoopNestStructure:
 
 class TestTensorSizeOptimization:
     def test_slice_packed_a_is_shrunk(self):
-        """Figure 6's A' reduces to one [1, BS, MB, KB] slab."""
+        """Figure 6's A' reduces to one slab: BS K-blocks folded into
+        [1, 1, MB, BS*KB]."""
         partition = compile_matmul_relu(m=64, k=128, n=64)
         func = fused_function(partition)
         a_allocs = [
@@ -100,8 +102,9 @@ class TestTensorSizeOptimization:
             func.attrs["merge_members"]
         )[0]["params"]
         alloc = a_allocs[0]
-        assert alloc.shape[0] == 1, f"A' not shrunk: {alloc.shape}"
-        assert alloc.shape[1] == params.bs
+        assert alloc.shape == (1, 1, params.mb, params.bs * params.kb), (
+            f"A' not shrunk: {alloc.shape}"
+        )
 
     def test_post_op_temp_is_shrunk_to_block(self):
         """C''-style post-op temporaries shrink to one block."""

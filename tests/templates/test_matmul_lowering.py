@@ -203,9 +203,10 @@ class TestBlockedOperands:
         )
         X = np.random.randn(64, 64).astype(np.float32)
         W = np.random.randn(64, 64).astype(np.float32)
+        # Operands folded in K: blocks of BS*KB = 32 along k.
         buffers = {
-            x.id: blocked_2d(16, 16).to_physical(X),
-            w.id: blocked_2d(16, 16, swap_inner=True).to_physical(W),
+            x.id: blocked_2d(16, 32).to_physical(X),
+            w.id: blocked_2d(32, 16, swap_inner=True).to_physical(W),
             y.id: alloc_output(fused),
         }
         out, interp = run_fused(fused, buffers)
@@ -239,7 +240,7 @@ class TestBlockedOperands:
         W = np.random.randn(64, 64).astype(np.float32)
         buffers = {
             x.id: X,
-            w.id: blocked_2d(16, 16, swap_inner=True).to_physical(W),
+            w.id: blocked_2d(32, 16, swap_inner=True).to_physical(W),
             y.id: alloc_output(fused),
         }
         out, interp = run_fused(fused, buffers)

@@ -222,19 +222,20 @@ class TestBrgemm:
         """A minimal single-core kernel: C[M,N] = A x B via brgemm blocks."""
         M, N, K = 8, 8, 16
         MB, NB, KB, BS = 4, 4, 4, 2
+        KF = BS * KB  # operands hold BS K-blocks folded into one
         b = TirBuilder("kernel")
-        b.param("Ab", DType.f32, (M // MB, K // KB, MB, KB))
-        b.param("Bb", DType.f32, (K // KB, N // NB, NB, KB))
+        b.param("Ab", DType.f32, (M // MB, K // KF, MB, KF))
+        b.param("Bb", DType.f32, (K // KF, N // NB, NB, KF))
         b.param("C", DType.f32, (M, N))
         with b.for_("mi", M // MB) as mi:
             with b.for_("ni", N // NB) as ni:
                 acc = b.alloc("acc", DType.f32, (MB, NB))
                 b.fill(full_slice(acc, (MB, NB)), 0.0)
-                with b.for_("ki", K // KB, step=BS) as ki:
+                with b.for_("ki", K // KF) as ki:
                     b.brgemm(
                         c=full_slice(acc, (MB, NB)),
-                        a=SliceRef("Ab", (mi, ki, 0, 0), (1, BS, MB, KB)),
-                        b=SliceRef("Bb", (ki, ni, 0, 0), (BS, 1, NB, KB)),
+                        a=SliceRef("Ab", (mi, ki, 0, 0), (1, 1, MB, KF)),
+                        b=SliceRef("Bb", (ki, ni, 0, 0), (1, 1, NB, KF)),
                         batch=BS,
                     )
                 b.copy(
@@ -248,8 +249,8 @@ class TestBrgemm:
         B = np.random.rand(K, N).astype(np.float32)
         C = np.zeros((M, N), dtype=np.float32)
         buffers = {
-            "Ab": blocked_2d(MB, KB).to_physical(A),
-            "Bb": blocked_2d(KB, NB, swap_inner=True).to_physical(B),
+            "Ab": blocked_2d(MB, KF).to_physical(A),
+            "Bb": blocked_2d(KF, NB, swap_inner=True).to_physical(B),
             "C": C,
         }
         interp = run_func(b.finish(), buffers)
@@ -257,12 +258,12 @@ class TestBrgemm:
         assert interp.stats.brgemm_calls == (M // MB) * (N // NB) * (K // KB) // BS
 
     def test_brgemm_b_batch_dim_second(self):
-        """B slices like Bb[ksi:BS, npsi:1, :, :] squeeze via contiguity."""
-        # When the batch dim is the first of the slice and the second is 1,
-        # the view is [BS, 1, NB, KB]; the interpreter cannot squeeze a
-        # middle dim, so lowering must emit [BS,1,NB,KB] -> ascontiguous
-        # reshape works since dim-1 is length 1... exercised above; here we
-        # check the error path for a non-squeezable shape.
+        """Operand slices must squeeze to one folded 2-D block.
+
+        ``Bb[ksi:1, npsi:1, 0:NB, 0:BS*KB]`` squeezes to ``[NB, BS*KB]``
+        (exercised above); a slice spanning two K-blocks does not, and is
+        rejected instead of being copied into shape.
+        """
         b = TirBuilder("f")
         b.param("Ab", DType.f32, (2, 2, 4, 4))
         b.param("Bb", DType.f32, (2, 2, 4, 4))

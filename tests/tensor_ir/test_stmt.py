@@ -64,7 +64,6 @@ class TestStatements:
             b=full_slice("b", (1, 4, 4)),
             batch=1,
         )
-        assert call.b_transposed
         assert not call.initialize
 
 

@@ -13,7 +13,7 @@ from repro.microkernel import (
     batch_reduce_gemm,
     brgemm_flops,
 )
-from repro.microkernel.brgemm import exact_chunk
+from repro.microkernel.brgemm import brgemm_partial, exact_chunk
 
 #: (A dtype, B dtype) of the int8 GEMMs: VNNI's u8 x s8 and the s8 x s8
 #: the MHA batch matmuls use.
@@ -156,6 +156,76 @@ class TestBrgemm:
             np.testing.assert_allclose(c, expected, rtol=1e-4, atol=1e-5)
         else:
             np.testing.assert_array_equal(c, expected)
+
+
+def per_call_fold_kernel(a, b):
+    """The kernel as it ran on unfolded storage: both ``[BS, ., KB]``
+    batches folded into ``[., BS*KB]`` float32 copies on every call."""
+    bs, mb, kb = a.shape
+    k = bs * kb
+    a2 = np.ascontiguousarray(
+        a.transpose(1, 0, 2), dtype=np.float32
+    ).reshape(mb, k)
+    b2 = np.ascontiguousarray(
+        b.transpose(1, 0, 2), dtype=np.float32
+    ).reshape(b.shape[1], k).T
+    if a.dtype.kind == "f":
+        return a2 @ b2
+    step = exact_chunk(a.dtype, b.dtype)
+    out = (a2[:, :step] @ b2[:step]).astype(np.int32)
+    for start in range(step, k, step):
+        out += (a2[:, start:start + step] @ b2[start:start + step]).astype(
+            np.int32
+        )
+    return out
+
+
+def kernel_layout(blocks):
+    """``[BS, R, KB]`` -> the folded ``[R, BS*KB]`` block, as a view at a
+    non-zero offset of a larger buffer (as packs and weights hand it)."""
+    folded = blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
+    buffer = np.zeros((2,) + folded.shape, blocks.dtype)
+    buffer[1] = folded
+    return buffer[1]
+
+
+class TestFoldedOperands:
+    """The kernel on operands stored folded gives exactly what folding
+    them on every call gave: BLAS sees the same values, the same memory
+    order, the same shapes and transpose flags."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),  # batch
+        st.integers(min_value=1, max_value=16),  # mb
+        st.integers(min_value=1, max_value=16),  # nb
+        st.integers(min_value=1, max_value=160),  # kb: K up to 1280
+        st.sampled_from(["f32", *INT8_PAIRS]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_bit_equal_to_per_call_fold(self, bs, mb, nb, kb, dtypes, seed):
+        rng = np.random.RandomState(seed)
+        if dtypes == "f32":
+            a = rng.randn(bs, mb, kb).astype(np.float32)
+            b = rng.randn(bs, nb, kb).astype(np.float32)
+        else:
+            a_dt, b_dt = INT8_PAIRS[dtypes]
+            a = rng.randint(np.iinfo(a_dt).min, np.iinfo(a_dt).max + 1,
+                            (bs, mb, kb)).astype(a_dt)
+            b = rng.randint(np.iinfo(b_dt).min, np.iinfo(b_dt).max + 1,
+                            (bs, nb, kb)).astype(b_dt)
+        a2, b2 = kernel_layout(a), kernel_layout(b)
+        assert a2.flags.c_contiguous and b2.flags.c_contiguous
+        got = brgemm_partial(a2, b2)
+        want = per_call_fold_kernel(a, b)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_f32_operands_are_not_copied(self):
+        """f32 operands go to BLAS as they are: ``a @ b.T`` on the views."""
+        a2 = kernel_layout(np.random.rand(4, 8, 16).astype(np.float32))
+        b2 = kernel_layout(np.random.rand(4, 6, 16).astype(np.float32))
+        np.testing.assert_array_equal(brgemm_partial(a2, b2), a2 @ b2.T)
 
 
 class TestExactInt8:

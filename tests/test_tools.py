@@ -55,7 +55,7 @@ class TestDumpTool:
              "--emit-codegen", str(target)]
         ) == 0
         source = "".join(p.read_text() for p in sorted(target.glob("*.py")))
-        assert "_p = _brgemm_partial(_ba, _bb, " in source
+        assert "_p = _brgemm_partial(_ba, _bb)" in source
         assert "einsum" not in source
 
     def test_bad_matmul_spec(self):
