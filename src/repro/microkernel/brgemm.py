@@ -114,7 +114,7 @@ def _exact_int_gemm(af: np.ndarray, bf: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
-def fold_batch(blocks: np.ndarray, dtype=None) -> np.ndarray:
+def _fold_batch(blocks: np.ndarray, dtype=None) -> np.ndarray:
     """A ``[BS, R, KB]`` batch of K-blocks as the kernel's ``[R, BS*KB]``.
 
     The one copy the LIBXSMM-style entry point pays; compiled code never
@@ -155,8 +155,8 @@ def batch_reduce_gemm(
             f"brgemm batch mismatch: a has {a.shape[0]}, b has {b.shape[0]}"
         )
     # Fold straight to float32: the copy the kernel would make anyway.
-    a2 = fold_batch(a, np.float32)
-    b2 = fold_batch(b if b_transposed else b.transpose(0, 2, 1), np.float32)
+    a2 = _fold_batch(a, np.float32)
+    b2 = _fold_batch(b if b_transposed else b.transpose(0, 2, 1), np.float32)
     error = operand_error(
         a2.shape, b2.shape, c.shape, a.shape[0], a.dtype, b.dtype, c.dtype
     )
